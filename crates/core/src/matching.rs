@@ -11,8 +11,6 @@
 //! `AVG`, or `SUM` must match an attribute name; the operand of `COUNT`
 //! or `GROUPBY` a relation or attribute name.
 
-use std::collections::HashSet;
-
 use aqks_relational::{Database, MatchIndex, NormalizedView};
 
 /// How the term is used, which restricts the admissible match types.
@@ -148,38 +146,42 @@ impl Matcher {
         db: &Database,
         term: &str,
     ) -> Result<Vec<TermMatch>, aqks_relational::Error> {
-        let hits = self.index.match_value_rows(db, term)?;
+        let hits = self.index.match_values(db, term)?;
         let mut out = Vec::new();
         match &self.view {
             None => {
-                for (relation, attribute, rows) in hits {
+                for m in hits {
                     // Values of foreign-key columns denote the referenced
                     // object; the referenced relation's own key column
                     // already produces that interpretation.
                     if self
                         .namespace
-                        .relation(&relation)
-                        .is_some_and(|r| is_foreign_key_attr(r, &attribute))
+                        .relation(&m.relation)
+                        .is_some_and(|r| is_foreign_key_attr(r, &m.attribute))
                     {
                         continue;
                     }
-                    out.push(TermMatch::Value { relation, attribute, tuple_count: rows.len() });
+                    out.push(TermMatch::Value {
+                        relation: m.relation,
+                        attribute: m.attribute,
+                        tuple_count: m.tuple_count,
+                    });
                 }
             }
             Some(view) => {
-                for (orig_rel, attribute, rows) in hits {
+                for m in hits {
                     if db
-                        .table(&orig_rel)
-                        .is_some_and(|t| is_foreign_key_attr(&t.schema, &attribute))
+                        .table(&m.relation)
+                        .is_some_and(|t| is_foreign_key_attr(&t.schema, &m.attribute))
                     {
                         continue;
                     }
-                    let Some(derived) = pick_derived(view, &orig_rel, &attribute) else {
+                    let Some(derived) = pick_derived(view, &m.relation, &m.attribute) else {
                         continue;
                     };
                     // Count distinct objects: project matching rows onto
                     // the derived relation's key.
-                    let table = db.table(&orig_rel).expect("indexed relation exists");
+                    let table = db.table(&m.relation).expect("indexed relation exists");
                     let key_idx: Option<Vec<usize>> = derived
                         .schema
                         .primary_key
@@ -187,23 +189,13 @@ impl Matcher {
                         .map(|k| table.schema.attr_index(k))
                         .collect();
                     let count = match key_idx {
-                        Some(idx) if !idx.is_empty() => {
-                            let mut seen = HashSet::new();
-                            for &r in &rows {
-                                let key: Vec<_> = idx
-                                    .iter()
-                                    .map(|&i| table.rows()[r as usize][i].clone())
-                                    .collect();
-                                seen.insert(key);
-                            }
-                            seen.len()
-                        }
-                        _ => rows.len(),
+                        Some(idx) if !idx.is_empty() => self.index.count_objects(&m, &idx),
+                        _ => m.tuple_count,
                     };
                     let attr = derived
                         .schema
-                        .canonical_attr(&attribute)
-                        .unwrap_or(attribute.as_str())
+                        .canonical_attr(&m.attribute)
+                        .unwrap_or(m.attribute.as_str())
                         .to_string();
                     out.push(TermMatch::Value {
                         relation: derived.schema.name.clone(),

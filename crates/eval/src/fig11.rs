@@ -5,9 +5,10 @@
 //! differ here, but the shape — both engines within the same order of
 //! magnitude, the semantic engine consistently a bit slower because it
 //! enumerates interpretations, disambiguates, and detects duplicates —
-//! is the claim under test. Criterion benches in `aqks-bench` measure the
-//! same work with full statistical rigour; this module produces the
-//! quick paper-style series for EXPERIMENTS.md.
+//! is the claim under test. The benchmark's `gen` workload (`perfbench/`)
+//! measures the same work at paper scale with percentiles and per-phase
+//! attribution; this module produces the quick paper-style series for
+//! EXPERIMENTS.md.
 //!
 //! One engine (and one SQAK instance) is built per query set and warmed
 //! on the *whole* set before any timing starts, so no rep pays

@@ -297,12 +297,12 @@ impl Sqak {
         }
         let hits = self
             .index
-            .match_value_rows(&self.db, term)
+            .match_values(&self.db, term)
             .map_err(|e| SqakError::Unsupported(format!("index probe failed: {e}")))?;
         let best = hits
             .into_iter()
-            .filter_map(|(relation, attribute, rows)| {
-                self.schema.relation_index(&relation).map(|ri| (ri, attribute, rows.len()))
+            .filter_map(|m| {
+                self.schema.relation_index(&m.relation).map(|ri| (ri, m.attribute, m.tuple_count))
             })
             .min_by_key(|(ri, attr, _)| (*ri, attr.clone()));
         match best {
