@@ -78,7 +78,7 @@
 use std::io::{BufRead, Write};
 
 use aqks_analyze::Analyzer;
-use aqks_core::{Budget, Engine};
+use aqks_core::{AnswerRequest, Budget, Engine};
 use aqks_datasets::{
     denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch, university, AcmdlConfig,
     TpchConfig,
@@ -344,16 +344,14 @@ fn emit_trace(trace: &PipelineTrace, fmt: TraceFormat, out: &str) {
 /// Answers one query, printing interpretations (and optionally the
 /// trace and the SQAK baseline). Returns the process exit code: `0` on
 /// success, `1` on error, [`EXIT_EXHAUSTED`] when the budget tripped.
-#[allow(clippy::too_many_arguments)]
 fn run_query(
     engine: &Engine,
     sqak: Option<&Sqak>,
     query: &str,
-    k: usize,
+    req: &AnswerRequest,
     explain: bool,
     trace: Option<TraceFormat>,
     trace_out: &str,
-    budget: &Budget,
 ) -> i32 {
     if explain {
         match engine.explain(query) {
@@ -372,14 +370,10 @@ fn run_query(
             Err(e) => println!("explain error: {e}"),
         }
     }
-    let answered = match trace {
-        Some(_) => engine.answer_traced_governed(query, k, budget).map(|(g, t)| (g, Some(t))),
-        None => engine.answer_governed(query, k, budget).map(|g| (g, None)),
-    };
     let mut code = 0;
-    match answered {
-        Ok((governed, collected)) => {
-            for (rank, a) in governed.value.iter().enumerate() {
+    match engine.run(query, req) {
+        Ok(answered) => {
+            for (rank, a) in answered.interpretations.iter().enumerate() {
                 println!("── interpretation #{}", rank + 1);
                 if explain {
                     println!("pattern: {}", a.pattern_description);
@@ -388,11 +382,11 @@ fn run_query(
                 println!("{}", a.result);
                 println!("({})", a.stats);
             }
-            if let (Some(fmt), Some(t)) = (trace, collected) {
+            if let (Some(fmt), Some(t)) = (trace, &answered.trace) {
                 println!("── pipeline trace");
-                emit_trace(&t, fmt, trace_out);
+                emit_trace(t, fmt, trace_out);
             }
-            if let Some(ex) = governed.exhaustion {
+            if let Some(ex) = answered.exhaustion {
                 eprintln!("budget exhausted: {ex}");
                 code = EXIT_EXHAUSTED;
             }
@@ -566,14 +560,15 @@ fn run_trace(
     let mut failures = 0;
     for q in queries {
         println!("── trace `{q}`");
-        match engine.answer_traced(q, k) {
-            Ok((answers, trace)) => {
+        match engine.run(q, &AnswerRequest { trace: true, ..AnswerRequest::new(k) }) {
+            Ok(answered) => {
+                let trace = answered.trace.unwrap_or_default();
                 if trace.is_empty() {
                     println!("  error: empty span tree");
                     failures += 1;
                     continue;
                 }
-                for (rank, a) in answers.iter().enumerate() {
+                for (rank, a) in answered.interpretations.iter().enumerate() {
                     println!("interpretation #{}: {}", rank + 1, a.sql_text);
                     println!("({})", a.stats);
                 }
@@ -1056,18 +1051,10 @@ fn main() {
         return;
     }
 
-    let budget = opts.budget();
+    let req = AnswerRequest { k: opts.k, budget: opts.budget(), trace: opts.trace.is_some() };
     if let Some(q) = &opts.query {
-        let code = run_query(
-            &engine,
-            sqak.as_ref(),
-            q,
-            opts.k,
-            opts.explain,
-            opts.trace,
-            &opts.trace_out,
-            &budget,
-        );
+        let code =
+            run_query(&engine, sqak.as_ref(), q, &req, opts.explain, opts.trace, &opts.trace_out);
         std::process::exit(code);
     }
 
@@ -1098,11 +1085,10 @@ fn main() {
                     &engine,
                     sqak.as_ref(),
                     q,
-                    opts.k,
+                    &req,
                     opts.explain,
                     opts.trace,
                     &opts.trace_out,
-                    &budget,
                 );
             }
         }

@@ -8,7 +8,11 @@
 //! simplified by the Section 4.1 rewrite rules.
 //!
 //! [`Engine::generate`] produces the ranked SQL statements (what
-//! Figure 11 times); [`Engine::answer`] additionally executes them.
+//! Figure 11 times); [`Engine::run`] additionally executes them, under
+//! the budget and trace setting of an [`AnswerRequest`] —
+//! [`Engine::answer`] is its unlimited, untraced case.
+
+use std::time::Instant;
 
 use aqks_analyze::{Analyzer, Report};
 use aqks_guard::{Budget, Exhaustion, Governor};
@@ -27,7 +31,7 @@ use crate::rank::rank_patterns;
 use crate::translate::{translate_ex, TranslateOptions};
 use crate::unnormalized::{rewrite, RewriteOptions};
 
-/// Answered keyword queries (every `answer`/`answer_governed` call).
+/// Answered keyword queries (every metered [`Engine::run`] call).
 static QUERIES: Counter = Counter::new("aqks_engine_queries");
 
 /// End-to-end `answer` latency.
@@ -116,17 +120,37 @@ pub struct Interpretation {
     pub stats: ExecStats,
 }
 
-/// A result produced under a [`Budget`]: the value, plus the structured
-/// [`Exhaustion`] report when a budget dimension tripped. `exhaustion`
-/// is `None` when the call completed within its budget; when set,
-/// `value` holds whatever completed before the trip (possibly nothing —
-/// see [`Exhaustion::partial`]).
+/// One [`Engine::run`] call: how many interpretations to answer, under
+/// which [`Budget`], and whether to return the [`PipelineTrace`].
 #[derive(Debug, Clone)]
-pub struct Governed<T> {
-    /// The (possibly partial) result.
-    pub value: T,
-    /// Which budget tripped, where, and whether `value` is non-empty.
+pub struct AnswerRequest {
+    /// Top-`k` interpretations to translate and execute.
+    pub k: usize,
+    /// Resource limits; [`Budget::unlimited`] installs no governor.
+    pub budget: Budget,
+    /// Return the pipeline trace in [`Answered::trace`].
+    pub trace: bool,
+}
+
+impl AnswerRequest {
+    /// The top-`k` answers, unlimited and untraced.
+    pub fn new(k: usize) -> AnswerRequest {
+        AnswerRequest { k, budget: Budget::unlimited(), trace: false }
+    }
+}
+
+/// The outcome of [`Engine::run`]. `exhaustion` is `None` when the call
+/// completed within its budget; when set, `interpretations` holds
+/// whatever completed before the trip (possibly nothing — see
+/// [`Exhaustion::partial`]).
+#[derive(Debug, Clone)]
+pub struct Answered {
+    /// The executed interpretations, in rank order.
+    pub interpretations: Vec<Interpretation>,
+    /// Which budget tripped, where, and whether results are partial.
     pub exhaustion: Option<Exhaustion>,
+    /// The pipeline trace, present exactly when the request asked.
+    pub trace: Option<PipelineTrace>,
 }
 
 /// How one query term matched the database (see [`Engine::explain`]).
@@ -158,6 +182,14 @@ pub struct Explanation {
     pub terms: Vec<TermReport>,
     /// All generated patterns, ranked best-first.
     pub patterns: Vec<PatternReport>,
+}
+
+/// The front end's output: the parsed query, each term's matches (in
+/// query order), and the annotated patterns ranked best-first.
+struct FrontEnd {
+    query: KeywordQuery,
+    matches: Vec<Vec<TermMatch>>,
+    ranked: Vec<QueryPattern>,
 }
 
 /// Per-thread trace recorders. Every OS thread calling into a shared
@@ -211,7 +243,8 @@ pub struct Engine {
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Engine>();
 const _: () = assert_send_sync::<std::sync::Arc<Engine>>();
-const _: () = assert_send_sync::<Governed<Vec<Interpretation>>>();
+const _: () = assert_send_sync::<AnswerRequest>();
+const _: () = assert_send_sync::<Answered>();
 const _: () = assert_send_sync::<Interpretation>();
 const _: () = assert_send_sync::<CoreError>();
 
@@ -293,11 +326,10 @@ impl Engine {
     }
 
     /// The calling thread's trace recorder for this engine. Disabled
-    /// (and effectively free) by default; enable it around a call — or
-    /// use [`Engine::answer_traced`] / [`Engine::explain_traced`] — to
-    /// collect a [`PipelineTrace`]. Recorders are per thread, so
-    /// concurrent callers on a shared engine observe independently.
-    pub fn recorder(&self) -> Recorder {
+    /// (and effectively free) except inside a [`Engine::run`] call that
+    /// traces or meters; recorders are per thread, so concurrent callers
+    /// on a shared engine observe independently.
+    fn recorder(&self) -> Recorder {
         self.recorders.get()
     }
 
@@ -307,7 +339,7 @@ impl Engine {
     /// Library panics are caught at this boundary and surface as
     /// [`CoreError::Internal`].
     pub fn generate(&self, query: &str, k: usize) -> Result<Vec<GeneratedSql>, CoreError> {
-        shielded(|| self.generate_inner(query, k))
+        shielded(|| self.generate_inner(&self.recorder(), query, k))
     }
 
     /// [`Engine::generate`] with each interpretation lowered to its
@@ -328,21 +360,9 @@ impl Engine {
         Ok(out)
     }
 
-    /// [`Engine::generate`] under a resource [`Budget`]: interpretations
-    /// completed before a trip are returned alongside the structured
-    /// [`Exhaustion`] report. Only genuine errors — not exhaustion —
-    /// surface as `Err`.
-    pub fn generate_governed(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Governed<Vec<GeneratedSql>>, CoreError> {
-        self.governed(budget, || self.generate_inner(query, k))
-    }
-
-    fn generate_inner(&self, query: &str, k: usize) -> Result<Vec<GeneratedSql>, CoreError> {
-        let rec = self.recorders.get();
+    /// The front end [`Engine::generate`] and [`Engine::explain`] share:
+    /// parse, match, pattern, annotate, rank — one span per phase.
+    fn front_end(&self, rec: &Recorder, query: &str) -> Result<FrontEnd, CoreError> {
         let query = {
             let _s = rec.span("parse");
             KeywordQuery::parse(query)?
@@ -363,12 +383,22 @@ impl Engine {
             let _s = rec.span("annotate");
             disambiguate(patterns, &self.namespace)
         };
-        let patterns = {
+        let ranked = {
             let s = rec.span("rank");
             let ranked = rank_patterns(patterns);
             s.add("patterns.ranked", ranked.len() as u64);
             ranked
         };
+        Ok(FrontEnd { query, matches, ranked })
+    }
+
+    fn generate_inner(
+        &self,
+        rec: &Recorder,
+        query: &str,
+        k: usize,
+    ) -> Result<Vec<GeneratedSql>, CoreError> {
+        let patterns = self.front_end(rec, query)?.ranked;
 
         // Translate all top-k patterns, then analyze all statements, so a
         // trace shows exactly one `translate` and one `analyze` phase.
@@ -435,58 +465,89 @@ impl Engine {
     }
 
     /// Full Algorithm 2: generate the top-`k` interpretations and execute
-    /// them against the database.
-    ///
-    /// Library panics are caught at this boundary and surface as
-    /// [`CoreError::Internal`].
+    /// them against the database — [`Engine::run`] with an unlimited,
+    /// untraced request.
     pub fn answer(&self, query: &str, k: usize) -> Result<Vec<Interpretation>, CoreError> {
-        let obs = self.begin_observation();
-        let result = {
-            let _root = self.recorders.get().span("answer");
-            shielded(|| self.answer_inner(query, k))
-        };
-        if let Some(t0) = obs {
-            let rows = result
-                .as_ref()
-                .map(|v| v.iter().map(|i| i.result.row_count() as u64).sum())
-                .unwrap_or(0);
-            self.finish_observation(query, t0, rows, None);
-        }
-        result
+        self.run(query, &AnswerRequest::new(k)).map(|a| a.interpretations)
     }
 
-    /// [`Engine::answer`] under a resource [`Budget`]: the engine
-    /// degrades gracefully on exhaustion, returning the interpretations
-    /// that completed before the trip plus the structured [`Exhaustion`]
-    /// report naming the budget and site that tripped. Only genuine
-    /// errors surface as `Err`.
-    pub fn answer_governed(
+    /// Answers `query` as `req` asks — the one entry point behind
+    /// [`Engine::answer`], the CLI, the query server, and the harnesses.
+    ///
+    /// Under a limited budget the engine degrades gracefully: it returns
+    /// the interpretations that completed before a trip plus the
+    /// structured [`Exhaustion`] report naming the budget and site that
+    /// tripped. Only genuine errors surface as `Err`; library panics are
+    /// caught and surface as [`CoreError::Internal`].
+    ///
+    /// The recorder is enabled only when the request traces or metrics
+    /// are globally enabled. The one trace it collects feeds the
+    /// always-on metrics and the flight recorder when metrics are
+    /// enabled, and is returned in [`Answered::trace`] when requested.
+    pub fn run(&self, query: &str, req: &AnswerRequest) -> Result<Answered, CoreError> {
+        let rec = self.recorder();
+        let metered = aqks_obs::metrics::enabled();
+        let t0 = (req.trace || metered).then(|| {
+            rec.enable();
+            let _ = rec.take(); // discard stale spans
+            Instant::now()
+        });
+        let result = {
+            let _root = rec.span("answer");
+            self.governed(&rec, query, req)
+        };
+        let Some(t0) = t0 else { return result };
+        let trace = rec.take();
+        rec.disable();
+        let trace = if metered {
+            let returned = req.trace.then(|| trace.clone());
+            observe(query, t0, &result, trace);
+            returned
+        } else {
+            Some(trace)
+        };
+        result.map(|a| Answered { trace, ..a })
+    }
+
+    /// Runs the pipeline behind the panic shield, with a [`Governor`]
+    /// for the request's budget installed ambiently, and converts a trip
+    /// into [`Answered::exhaustion`], recording it on the trace (a
+    /// `guard` span + counters). The governor is only installed when the
+    /// budget actually limits something, so unlimited calls stay on the
+    /// zero-cost path.
+    fn governed(
         &self,
+        rec: &Recorder,
+        query: &str,
+        req: &AnswerRequest,
+    ) -> Result<Answered, CoreError> {
+        let gov = (!req.budget.is_unlimited()).then(|| Governor::new(&req.budget));
+        let result = {
+            let _installed = gov.as_ref().map(aqks_guard::install);
+            shielded(|| self.answer_inner(rec, query, req.k))
+        };
+        let interpretations = match result {
+            Ok(v) => v,
+            // A trip that unwound the whole pipeline: no partials exist.
+            Err(CoreError::Budget(_)) if gov.is_some() => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let exhaustion = gov.as_ref().and_then(Governor::trip).map(|t| {
+            let s = rec.span("guard");
+            s.add("guard.trips", 1);
+            s.add(format!("guard.trip.{}", t.site), 1);
+            t.exhaust(!interpretations.is_empty())
+        });
+        Ok(Answered { interpretations, exhaustion, trace: None })
+    }
+
+    fn answer_inner(
+        &self,
+        rec: &Recorder,
         query: &str,
         k: usize,
-        budget: &Budget,
-    ) -> Result<Governed<Vec<Interpretation>>, CoreError> {
-        let obs = self.begin_observation();
-        let result = {
-            let _root = self.recorders.get().span("answer");
-            self.governed(budget, || self.answer_inner(query, k))
-        };
-        if let Some(t0) = obs {
-            let (rows, tripped) = match &result {
-                Ok(g) => (
-                    g.value.iter().map(|i| i.result.row_count() as u64).sum(),
-                    g.exhaustion.as_ref().map(|e| e.to_string()),
-                ),
-                Err(_) => (0, None),
-            };
-            self.finish_observation(query, t0, rows, tripped);
-        }
-        result
-    }
-
-    fn answer_inner(&self, query: &str, k: usize) -> Result<Vec<Interpretation>, CoreError> {
-        let rec = self.recorders.get();
-        let generated = self.generate_inner(query, k)?;
+    ) -> Result<Vec<Interpretation>, CoreError> {
+        let generated = self.generate_inner(rec, query, k)?;
         let mut out = Vec::with_capacity(generated.len());
         for g in generated {
             // Between interpretations is the natural cancellation point:
@@ -545,200 +606,28 @@ impl Engine {
         Ok(out)
     }
 
-    /// [`Engine::answer`] with tracing: enables the recorder for the
-    /// duration of the call and returns the collected [`PipelineTrace`]
-    /// alongside the interpretations.
-    pub fn answer_traced(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<(Vec<Interpretation>, PipelineTrace), CoreError> {
-        self.traced(|| self.answer(query, k))
-    }
-
-    /// [`Engine::answer_governed`] with tracing: budget trips appear in
-    /// the trace as a `guard` span with `guard.trip.<site>` counters.
-    pub fn answer_traced_governed(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<(Governed<Vec<Interpretation>>, PipelineTrace), CoreError> {
-        self.traced(|| self.answer_governed(query, k, budget))
-    }
-
-    /// Runs `f` with a [`Governor`] for `budget` installed ambiently,
-    /// converting a budget trip into a graceful [`Governed`] result and
-    /// recording it on the trace (a `guard` span + counters). The
-    /// governor is only installed when the budget actually limits
-    /// something, so unlimited calls stay on the zero-cost path.
-    fn governed<T>(
-        &self,
-        budget: &Budget,
-        f: impl FnOnce() -> Result<Vec<T>, CoreError>,
-    ) -> Result<Governed<Vec<T>>, CoreError> {
-        let gov = Governor::new(budget);
-        let result = {
-            let _installed =
-                if budget.is_unlimited() { None } else { Some(aqks_guard::install(&gov)) };
-            shielded(f)
-        };
-        let value = match result {
-            Ok(v) => v,
-            // A trip that unwound the whole pipeline: no partials exist.
-            Err(CoreError::Budget(_)) => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let exhaustion = gov.trip().map(|t| {
-            let s = self.recorders.get().span("guard");
-            s.add("guard.trips", 1);
-            s.add(format!("guard.trip.{}", t.site), 1);
-            t.exhaust(!value.is_empty())
-        });
-        Ok(Governed { value, exhaustion })
-    }
-
-    /// [`Engine::explain`] with tracing (see [`Engine::answer_traced`]).
-    pub fn explain_traced(&self, query: &str) -> Result<(Explanation, PipelineTrace), CoreError> {
-        self.traced(|| self.explain(query))
-    }
-
-    /// Starts the always-on observation of one `answer` call: enables
-    /// the recorder (so phase spans land somewhere) and returns the
-    /// start instant. Returns `None` — observation off — when metrics
-    /// are globally disabled, or when the recorder is already enabled
-    /// by an enclosing `*_traced` call, whose trace must not be stolen.
-    fn begin_observation(&self) -> Option<std::time::Instant> {
-        let rec = self.recorders.get();
-        if !aqks_obs::metrics::enabled() || rec.is_enabled() {
-            return None;
-        }
-        rec.enable();
-        let _ = rec.take(); // discard stale spans
-        Some(std::time::Instant::now())
-    }
-
-    /// Finishes an observation started by [`Engine::begin_observation`]:
-    /// harvests the pipeline trace, folds its phase timings into the
-    /// global histograms, and files the trace with the flight recorder.
-    fn finish_observation(
-        &self,
-        query: &str,
-        t0: std::time::Instant,
-        rows: u64,
-        tripped: Option<String>,
-    ) {
-        let rec = self.recorders.get();
-        let trace = rec.take();
-        rec.disable();
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        QUERIES.add(1);
-        ANSWER_NS.observe(total_ns);
-        RESULT_ROWS.observe(rows);
-        if let Some(root) = trace.roots.iter().find(|r| r.name == "answer") {
-            for child in &root.children {
-                if let Some(label) = phase_label(&child.name) {
-                    PHASE_NS.observe(label, child.total_ns);
-                }
-            }
-        }
-        let flight = aqks_obs::flight::global();
-        flight.record(query, total_ns, tripped, trace);
-        FLIGHT_RETAINED.set(flight.retained() as i64);
-    }
-
-    /// Runs `f` with the recorder enabled and snapshots the trace.
-    /// Restores the previous enabled state afterwards, and drops
-    /// anything recorded before the call so the trace covers `f` only.
-    fn traced<T>(
-        &self,
-        f: impl FnOnce() -> Result<T, CoreError>,
-    ) -> Result<(T, PipelineTrace), CoreError> {
-        let rec = self.recorders.get();
-        let was_enabled = rec.is_enabled();
-        if !was_enabled {
-            rec.enable();
-        }
-        let _ = rec.take(); // discard stale spans
-        let result = f();
-        let trace = rec.take();
-        if !was_enabled {
-            rec.disable();
-        }
-        Ok((result?, trace))
-    }
-
     /// Explains how a query is interpreted: each term's matches and the
-    /// ranked patterns with their scores — the trace behind
+    /// ranked patterns with their scores — the front end behind
     /// [`Engine::generate`], for debugging and the CLI's `--explain`.
+    ///
+    /// Library panics are caught at this boundary and surface as
+    /// [`CoreError::Internal`].
     pub fn explain(&self, query: &str) -> Result<Explanation, CoreError> {
-        let rec = self.recorders.get();
-        let _root = rec.span("explain");
-        let parsed = {
-            let _s = rec.span("parse");
-            KeywordQuery::parse(query)?
-        };
-        let matches = {
-            let s = rec.span("match");
-            let matches = self.term_matches(&parsed)?;
-            s.add("matches.total", matches.iter().map(Vec::len).sum::<usize>() as u64);
-            matches
-        };
-        let term_reports = parsed
-            .terms
-            .iter()
-            .zip(&matches)
-            .map(|(t, ms)| {
-                let text = match t {
-                    Term::Basic(s) => s.clone(),
-                    Term::Op(Operator::GroupBy) => "GROUPBY".to_string(),
-                    Term::Op(Operator::Agg(f)) => f.keyword().to_string(),
-                };
-                let descriptions = ms
-                    .iter()
-                    .map(|m| match m {
-                        TermMatch::RelationName { relation } => {
-                            format!("relation `{relation}`")
-                        }
-                        TermMatch::AttributeName { relation, attribute } => {
-                            format!("attribute `{relation}.{attribute}`")
-                        }
-                        TermMatch::Value { relation, attribute, tuple_count } => {
-                            format!("value of `{relation}.{attribute}` ({tuple_count} object(s))")
-                        }
-                    })
-                    .collect();
-                TermReport {
-                    term: text,
-                    is_operator: matches!(t, Term::Op(_)),
-                    matches: descriptions,
-                }
-            })
-            .collect();
-
-        let patterns = {
-            let s = rec.span("pattern");
-            let patterns = generate_patterns(&parsed, &matches, &self.graph, &self.namespace)?;
-            s.add("patterns.generated", patterns.len() as u64);
-            patterns
-        };
-        let annotated = {
-            let _s = rec.span("annotate");
-            disambiguate(patterns, &self.namespace)
-        };
-        let ranked = {
-            let _s = rec.span("rank");
-            rank_patterns(annotated)
-        };
-        let pattern_reports = ranked
-            .iter()
-            .map(|p| PatternReport {
-                description: p.describe(),
-                dot: p.to_dot(),
-                score: crate::rank::rank_key(p),
-            })
-            .collect();
-        Ok(Explanation { terms: term_reports, patterns: pattern_reports })
+        shielded(|| {
+            let fe = self.front_end(&self.recorder(), query)?;
+            let terms =
+                fe.query.terms.iter().zip(&fe.matches).map(|(t, ms)| term_report(t, ms)).collect();
+            let patterns = fe
+                .ranked
+                .iter()
+                .map(|p| PatternReport {
+                    description: p.describe(),
+                    dot: p.to_dot(),
+                    score: crate::rank::rank_key(p),
+                })
+                .collect();
+            Ok(Explanation { terms, patterns })
+        })
     }
 
     fn term_matches(&self, query: &KeywordQuery) -> Result<Vec<Vec<TermMatch>>, CoreError> {
@@ -763,6 +652,55 @@ impl Engine {
         }
         Ok(out)
     }
+}
+
+/// Folds one metered [`Engine::run`] into the always-on metrics — the
+/// query counter, end-to-end, per-phase and result-row histograms — and
+/// files its trace with the flight recorder.
+fn observe(query: &str, t0: Instant, result: &Result<Answered, CoreError>, trace: PipelineTrace) {
+    let total_ns = t0.elapsed().as_nanos() as u64;
+    let (rows, tripped) = match result {
+        Ok(a) => (
+            a.interpretations.iter().map(|i| i.result.row_count() as u64).sum(),
+            a.exhaustion.as_ref().map(|e| e.to_string()),
+        ),
+        Err(_) => (0, None),
+    };
+    QUERIES.add(1);
+    ANSWER_NS.observe(total_ns);
+    RESULT_ROWS.observe(rows);
+    if let Some(root) = trace.roots.iter().find(|r| r.name == "answer") {
+        for child in &root.children {
+            if let Some(label) = phase_label(&child.name) {
+                PHASE_NS.observe(label, child.total_ns);
+            }
+        }
+    }
+    let flight = aqks_obs::flight::global();
+    flight.record(query, total_ns, tripped, trace);
+    FLIGHT_RETAINED.set(flight.retained() as i64);
+}
+
+/// How one query term matched, in words (see [`Engine::explain`]).
+fn term_report(term: &Term, matches: &[TermMatch]) -> TermReport {
+    let text = match term {
+        Term::Basic(s) => s.clone(),
+        Term::Op(Operator::GroupBy) => "GROUPBY".to_string(),
+        Term::Op(Operator::Agg(f)) => f.keyword().to_string(),
+    };
+    let matches = matches
+        .iter()
+        .map(|m| match m {
+            TermMatch::RelationName { relation } => format!("relation `{relation}`"),
+            TermMatch::AttributeName { relation, attribute } => {
+                format!("attribute `{relation}.{attribute}`")
+            }
+            TermMatch::Value { relation, attribute, tuple_count } => {
+                format!("value of `{relation}.{attribute}` ({tuple_count} object(s))")
+            }
+        })
+        .collect();
+    TermReport { term: text, is_operator: matches!(term, Term::Op(_)), matches }
 }
 
 /// Runs `f` behind a panic shield: a panic anywhere in the pipeline is
@@ -916,14 +854,56 @@ mod tests {
         assert!(gen[0].sql_text.contains("COUNT"));
     }
 
+    fn request(k: usize, budget: Budget, trace: bool) -> AnswerRequest {
+        AnswerRequest { k, budget, trace }
+    }
+
+    /// The one entry point across (unlimited | tripped budget) × (trace
+    /// off | on): interpretations are `answer`'s (a prefix of them when
+    /// the budget trips), `exhaustion` is set exactly when the budget
+    /// trips, and `trace` is present exactly when requested.
+    #[test]
+    fn run_covers_budget_and_trace_combinations() {
+        let engine = Engine::new(university::normalized()).unwrap();
+        // "Green SUM Credit" has 2 interpretations; the cap keeps the top one.
+        let plain = engine.answer("Green SUM Credit", 3).unwrap();
+        assert!(plain.len() >= 2, "fixture needs >=2 interpretations");
+        for tripped in [false, true] {
+            for trace in [false, true] {
+                let budget = if tripped {
+                    Budget::unlimited().with_max_interpretations(1)
+                } else {
+                    Budget::unlimited()
+                };
+                let a = engine.run("Green SUM Credit", &request(3, budget, trace)).unwrap();
+                let case = format!("tripped={tripped} trace={trace}");
+                assert_eq!(a.exhaustion.is_some(), tripped, "{case}");
+                assert_eq!(a.trace.is_some(), trace, "{case}");
+                let n = if tripped { 1 } else { plain.len() };
+                assert_eq!(a.interpretations.len(), n, "{case}");
+                for (x, y) in a.interpretations.iter().zip(&plain) {
+                    assert_eq!(x.sql_text, y.sql_text, "{case}");
+                    assert_eq!(x.result, y.result, "{case}");
+                }
+                if let Some(t) = &a.trace {
+                    assert_eq!(t.roots.len(), 1, "{case}: {t:?}");
+                    assert_eq!(t.roots[0].name, "answer", "{case}");
+                    assert_eq!(t.span_count("guard"), usize::from(tripped), "{case}");
+                }
+                assert!(!engine.recorder().is_enabled(), "{case}: recorder left enabled");
+            }
+        }
+    }
+
     /// Every pipeline phase appears exactly once under the `answer` root
     /// (k=1), operator spans graft under `exec`, analyzer pass spans
     /// under `analyze`, and index counters flow up via the ambient stack.
     #[test]
-    fn answer_traced_covers_every_phase_once() {
+    fn traced_run_covers_every_phase_once() {
         let engine = Engine::new(university::normalized()).unwrap();
-        let (answers, trace) = engine.answer_traced("Green SUM Credit", 1).unwrap();
-        assert_eq!(answers.len(), 1);
+        let a = engine.run("Green SUM Credit", &request(1, Budget::unlimited(), true)).unwrap();
+        assert_eq!(a.interpretations.len(), 1);
+        let trace = a.trace.expect("trace requested");
         assert_eq!(trace.roots.len(), 1, "{trace:?}");
         let root = &trace.roots[0];
         assert_eq!(root.name, "answer");
@@ -949,20 +929,6 @@ mod tests {
         // Leaf-layer counters reached the trace without API plumbing.
         assert!(trace.counters.contains_key("index.probes"), "{:?}", trace.counters);
         assert!(trace.counters.contains_key("exec.rows_out"), "{:?}", trace.counters);
-        // The recorder is back off afterwards.
-        assert!(!engine.recorder().is_enabled());
-    }
-
-    #[test]
-    fn explain_traced_has_interpretation_phases() {
-        let engine = Engine::new(university::normalized()).unwrap();
-        let (ex, trace) = engine.explain_traced("Green SUM Credit").unwrap();
-        assert!(!ex.patterns.is_empty());
-        let root = &trace.roots[0];
-        assert_eq!(root.name, "explain");
-        for phase in ["parse", "match", "pattern", "annotate", "rank"] {
-            assert!(root.children.iter().any(|c| c.name == phase), "{phase} missing");
-        }
     }
 
     /// Untraced calls leave nothing behind: the recorder stays disabled
@@ -973,8 +939,8 @@ mod tests {
         engine.answer("Green SUM Credit", 1).unwrap();
         assert!(!engine.recorder().is_enabled());
         assert!(engine.recorder().take().is_empty());
-        let (_, trace) = engine.answer_traced("Java SUM Price", 1).unwrap();
-        assert_eq!(trace.roots.len(), 1);
+        let a = engine.run("Java SUM Price", &request(1, Budget::unlimited(), true)).unwrap();
+        assert_eq!(a.trace.expect("trace requested").roots.len(), 1);
     }
 
     /// Plain `answer` feeds the always-on metrics and files its trace
@@ -1007,29 +973,28 @@ mod tests {
 
         // A governed trip files a tripped exemplar.
         let budget = Budget::unlimited().with_max_patterns(1);
-        let g = engine.answer_governed("Green George COUNT Code", 3, &budget).unwrap();
-        assert!(g.exhaustion.is_some());
+        let a = engine.run("Green George COUNT Code", &request(3, budget, false)).unwrap();
+        assert!(a.exhaustion.is_some());
         let tripped = flight.last_tripped().expect("tripped exemplar retained");
         assert!(tripped.tripped.is_some());
-
-        // The traced surface is unaffected: its trace is not stolen by
-        // the observation path, and untraced state stays clean.
-        let (_, trace) = engine.answer_traced("Green SUM Credit", 1).unwrap();
-        assert_eq!(trace.roots.len(), 1);
-        assert!(!engine.recorder().is_enabled());
     }
 
+    /// A traced call is metered like any other: the trace it returns is
+    /// the same one the registry and the flight recorder consume.
     #[test]
-    fn unlimited_budget_matches_ungoverned_answer() {
+    fn traced_run_feeds_metrics_and_flight() {
+        aqks_obs::metrics::set_enabled(true);
         let engine = Engine::new(university::normalized()).unwrap();
-        let plain = engine.answer("Java SUM Price", 3).unwrap();
-        let governed = engine.answer_governed("Java SUM Price", 3, &Budget::unlimited()).unwrap();
-        assert!(governed.exhaustion.is_none());
-        assert_eq!(governed.value.len(), plain.len());
-        for (a, b) in plain.iter().zip(&governed.value) {
-            assert_eq!(a.sql_text, b.sql_text);
-            assert_eq!(a.result, b.result);
-        }
+        let snap = || aqks_obs::metrics::global().snapshot();
+        let flight = aqks_obs::flight::global();
+
+        let queries_before = snap().counter_total("aqks_engine_queries");
+        let recorded_before = flight.recorded();
+        let a = engine.run("Green SUM Credit", &request(1, Budget::unlimited(), true)).unwrap();
+        assert_eq!(a.trace.expect("trace requested").roots.len(), 1);
+        assert!(snap().counter_total("aqks_engine_queries") > queries_before);
+        assert!(flight.recorded() > recorded_before);
+        assert!(!engine.recorder().is_enabled());
     }
 
     #[test]
@@ -1037,38 +1002,32 @@ mod tests {
         let engine = Engine::new(university::normalized()).unwrap();
         // "Green George COUNT Code" enumerates 2 interpretation combos.
         let budget = Budget::unlimited().with_max_patterns(1);
-        let g = engine.answer_governed("Green George COUNT Code", 3, &budget).unwrap();
-        let ex = g.exhaustion.expect("pattern budget should trip");
+        let a = engine.run("Green George COUNT Code", &request(3, budget, false)).unwrap();
+        let ex = a.exhaustion.expect("pattern budget should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Patterns);
         assert_eq!(ex.site, "pattern.enumerate");
-        assert_eq!(ex.partial, !g.value.is_empty());
+        assert_eq!(ex.partial, !a.interpretations.is_empty());
     }
 
     #[test]
     fn interpretation_cap_keeps_completed_answers() {
         let engine = Engine::new(university::normalized()).unwrap();
-        // Baseline: "Green SUM Credit" yields 2 interpretations.
-        let all = engine.answer("Green SUM Credit", 3).unwrap();
-        assert!(all.len() >= 2, "fixture needs >=2 interpretations");
         let budget = Budget::unlimited().with_max_interpretations(1);
-        let g = engine.answer_governed("Green SUM Credit", 3, &budget).unwrap();
-        assert_eq!(g.value.len(), 1, "one interpretation completed before the trip");
-        let ex = g.exhaustion.expect("interpretation budget should trip");
+        let a = engine.run("Green SUM Credit", &request(3, budget, false)).unwrap();
+        let ex = a.exhaustion.expect("interpretation budget should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Interpretations);
         assert_eq!(ex.site, "engine.translate");
         assert!(ex.partial);
-        // The survivor is the top-ranked interpretation.
-        assert_eq!(g.value[0].sql_text, all[0].sql_text);
     }
 
     #[test]
     fn expired_deadline_reports_exhaustion_not_error() {
         let engine = Engine::new(university::normalized()).unwrap();
         let budget = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
-        let g = engine.answer_governed("Green SUM Credit", 1, &budget).unwrap();
-        let ex = g.exhaustion.expect("deadline should trip");
+        let a = engine.run("Green SUM Credit", &request(1, budget, false)).unwrap();
+        let ex = a.exhaustion.expect("deadline should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Deadline);
-        assert!(g.value.is_empty());
+        assert!(a.interpretations.is_empty());
         assert!(!ex.partial);
         // Exhaustion renders a one-line human-readable report.
         let msg = ex.to_string();
@@ -1081,8 +1040,8 @@ mod tests {
         // Generous pattern allowance, tiny row allowance: generation
         // succeeds, execution trips inside an operator.
         let budget = Budget::unlimited().with_max_rows(1);
-        let g = engine.answer_governed("Java SUM Price", 3, &budget).unwrap();
-        let ex = g.exhaustion.expect("row budget should trip");
+        let a = engine.run("Java SUM Price", &request(3, budget, false)).unwrap();
+        let ex = a.exhaustion.expect("row budget should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Rows);
         assert!(ex.site.starts_with("ops.") || ex.site.starts_with("index."), "{}", ex.site);
     }
@@ -1093,8 +1052,8 @@ mod tests {
     fn governor_does_not_leak_past_the_call() {
         let engine = Engine::new(university::normalized()).unwrap();
         let budget = Budget::unlimited().with_max_rows(1);
-        let g = engine.answer_governed("Green SUM Credit", 1, &budget).unwrap();
-        assert!(g.exhaustion.is_some());
+        let a = engine.run("Green SUM Credit", &request(1, budget, false)).unwrap();
+        assert!(a.exhaustion.is_some());
         let plain = engine.answer("Green SUM Credit", 1).unwrap();
         assert_eq!(plain.len(), 1);
     }
@@ -1105,9 +1064,9 @@ mod tests {
     fn governed_trip_is_visible_in_trace() {
         let engine = Engine::new(university::normalized()).unwrap();
         let budget = Budget::unlimited().with_max_patterns(1);
-        let (g, trace) =
-            engine.answer_traced_governed("Green George COUNT Code", 3, &budget).unwrap();
-        assert!(g.exhaustion.is_some());
+        let a = engine.run("Green George COUNT Code", &request(3, budget, true)).unwrap();
+        assert!(a.exhaustion.is_some());
+        let trace = a.trace.expect("trace requested");
         let root = &trace.roots[0];
         assert_eq!(root.name, "answer");
         assert!(root.children.iter().any(|c| c.name == "guard"), "{trace:?}");

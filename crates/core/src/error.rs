@@ -22,7 +22,8 @@ pub enum CoreError {
     /// Schema-level problem (e.g. ORM graph construction failed).
     Schema(String),
     /// A resource budget tripped before any result completed (partial
-    /// results are reported via `Governed::exhaustion` instead).
+    /// results are reported via [`Answered::exhaustion`](crate::Answered::exhaustion)
+    /// instead).
     Budget(aqks_guard::Tripped),
     /// A deterministic failpoint fired (fault-injection builds only).
     Fault(&'static str),

@@ -45,8 +45,8 @@ pub mod unnormalized;
 
 pub use aqks_guard::{Budget, BudgetKind, Exhaustion, Tripped};
 pub use engine::{
-    Engine, EngineOptions, Explanation, GeneratedSql, Governed, Interpretation, PatternReport,
-    TermReport,
+    AnswerRequest, Answered, Engine, EngineOptions, Explanation, GeneratedSql, Interpretation,
+    PatternReport, TermReport,
 };
 pub use error::CoreError;
 pub use matching::{Matcher, TermMatch, TermRole};

@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use aqks_core::Engine;
+use aqks_core::{AnswerRequest, Engine};
 use aqks_sqlgen::{plan, run_plan, run_plan_opts, ExecOptions, ExecStats, PlanNode, SharedRows};
 
 use crate::timing::TimingSummary;
@@ -136,8 +136,8 @@ fn bench_workload(
             // One traced end-to-end run attributes wall time to pipeline
             // phases; the timed repetitions below then run untraced.
             let mut phases = Vec::with_capacity(PHASES.len());
-            match engine.answer_traced(q.text, 1) {
-                Ok((_, trace)) => phase_breakdown(&trace, &mut phases),
+            match engine.run(q.text, &AnswerRequest { trace: true, ..AnswerRequest::new(1) }) {
+                Ok(a) => phase_breakdown(&a.trace.unwrap_or_default(), &mut phases),
                 Err(e) => return failed(q, workload, format!("answer: {e}")),
             }
             // Warm-up, then `reps` timed runs; keep the stats of the

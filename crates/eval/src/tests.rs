@@ -41,7 +41,7 @@ fn fig11_produces_positive_ordered_timings() {
 /// against phases silently losing their spans as the pipeline evolves.
 #[test]
 fn every_answer_phase_traced_once_per_workload_query() {
-    use aqks_core::Engine;
+    use aqks_core::{AnswerRequest, Engine};
     let sweeps = [
         (tpch_database(Scale::Small), tpch_queries()),
         (acmdl_database(Scale::Small), acmdl_queries()),
@@ -55,7 +55,9 @@ fn every_answer_phase_traced_once_per_workload_query() {
         for q in queries {
             // T7/T8-style unsupported queries error out before tracing
             // matters; the sweep covers every query that answers.
-            let Ok((answers, trace)) = engine.answer_traced(q.text, 1) else { continue };
+            let req = AnswerRequest { trace: true, ..AnswerRequest::new(1) };
+            let Ok(answered) = engine.run(q.text, &req) else { continue };
+            let (answers, trace) = (answered.interpretations, answered.trace.expect("traced"));
             traced += 1;
             assert_eq!(trace.roots.len(), 1, "{name}/{}", q.id);
             assert_eq!(trace.roots[0].name, "answer", "{name}/{}", q.id);

@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use aqks_core::{CoreError, Engine};
+use aqks_core::{AnswerRequest, CoreError, Engine};
 use aqks_guard::Budget;
 use aqks_obs::metrics::{Counter, Gauge, Histogram, LabeledCounter, Unit};
 
@@ -656,10 +656,10 @@ fn execute(request: &Request, shared: &Shared) -> Response {
         }
         let budget = effective_budget(request, &shared.cfg);
         let k = request.k.min(shared.cfg.max_k);
-        match shared.engine.answer_governed(&request.text, k, &budget) {
-            Ok(governed) => {
-                let interpretations = governed
-                    .value
+        match shared.engine.run(&request.text, &AnswerRequest { k, budget, trace: false }) {
+            Ok(answered) => {
+                let interpretations = answered
+                    .interpretations
                     .iter()
                     .map(|i| WireInterp {
                         sql: i.sql_text.clone(),
@@ -672,8 +672,8 @@ fn execute(request: &Request, shared: &Shared) -> Response {
                             .collect(),
                     })
                     .collect();
-                let degraded = governed.exhaustion.map(|e| format!("{}@{}", e.kind, e.site));
-                let partial = governed.exhaustion.is_some_and(|e| e.partial);
+                let degraded = answered.exhaustion.map(|e| format!("{}@{}", e.kind, e.site));
+                let partial = answered.exhaustion.is_some_and(|e| e.partial);
                 Response::Ok(Answer { interpretations, degraded, partial, server_us: 0 })
             }
             Err(e) => Response::Err(map_core_error(&e)),
@@ -701,7 +701,7 @@ fn execute(request: &Request, shared: &Shared) -> Response {
 }
 
 /// Maps engine errors onto the wire taxonomy. Budget trips do not reach
-/// here in the normal path (`answer_governed` degrades them); a
+/// here in the normal path (`Engine::run` degrades them); a
 /// `CoreError::Budget` leaking through is treated as degradation-shaped
 /// but empty, i.e. an OK answer with a degraded flag and no rows.
 fn map_core_error(e: &CoreError) -> WireError {

@@ -1,14 +1,14 @@
 //! Chaos sweep: with the `failpoints` feature, every injected fault —
 //! at the accept, enqueue, execute, and respond sites, inside the
 //! engine, and a worker panic — must surface as a *typed* wire error
-//! while the server keeps serving. Runs as a single sequential test
-//! because failpoint arming is process-global.
+//! while the server keeps serving. Failpoint arming is process-global,
+//! so every test here holds [`FAILPOINTS`] for its whole body.
 
 #![cfg(feature = "failpoints")]
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use aqks_core::Engine;
@@ -16,8 +16,19 @@ use aqks_datasets::university;
 use aqks_guard::failpoint;
 use aqks_server::{Client, ClientConfig, ClientError, ErrorCode, Request, Server, ServerConfig};
 
+/// Serializes the tests in this file: each arms process-global
+/// failpoints that would fire inside the other's server.
+static FAILPOINTS: Mutex<()> = Mutex::new(());
+
+/// Takes [`FAILPOINTS`], recovering it if another test panicked while
+/// holding it (that test's failure is reported on its own).
+fn exclusive() -> MutexGuard<'static, ()> {
+    FAILPOINTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn every_injected_fault_surfaces_typed_and_server_survives() {
+    let _serial = exclusive();
     let engine = Arc::new(Engine::new(university::normalized()).expect("dataset builds"));
     let server = Server::start(engine, ServerConfig::default()).expect("server binds");
     let cfg = ClientConfig { max_attempts: 1, ..ClientConfig::default() };
@@ -77,6 +88,7 @@ fn every_injected_fault_surfaces_typed_and_server_survives() {
 
 #[test]
 fn worker_panic_does_not_poison_the_pool() {
+    let _serial = exclusive();
     // Satellite regression: a panicking query on the worker path becomes
     // a typed `internal` error and the same worker keeps serving. Use a
     // single-worker pool so the recovery query provably runs on the

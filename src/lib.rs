@@ -35,12 +35,14 @@
 //! println!("{}", answers[0].sql_text);
 //! ```
 //!
-//! To keep an adversarial query inside a box, answer it under a
-//! [`guard::Budget`]: exhaustion degrades gracefully into the completed
-//! interpretations plus a structured report instead of an error.
+//! To keep an adversarial query inside a box, answer it through
+//! [`core::Engine::run`] with a [`guard::Budget`] in its
+//! [`core::AnswerRequest`]: exhaustion degrades gracefully into the
+//! completed interpretations plus a structured report instead of an
+//! error.
 //!
 //! ```
-//! use aqks::core::{Budget, Engine};
+//! use aqks::core::{AnswerRequest, Budget, Engine};
 //! use aqks::datasets::university;
 //! use std::time::Duration;
 //!
@@ -48,9 +50,10 @@
 //! let budget = Budget::unlimited()
 //!     .with_timeout(Duration::from_millis(250))
 //!     .with_max_rows(100_000);
-//! let governed = engine.answer_governed("Green SUM Credit", 1, &budget).unwrap();
-//! match governed.exhaustion {
-//!     None => println!("{} answer(s) within budget", governed.value.len()),
+//! let req = AnswerRequest { k: 1, budget, trace: false };
+//! let answered = engine.run("Green SUM Credit", &req).unwrap();
+//! match answered.exhaustion {
+//!     None => println!("{} answer(s) within budget", answered.interpretations.len()),
 //!     Some(ex) => println!("stopped early: {ex}"),
 //! }
 //! ```

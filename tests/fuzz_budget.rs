@@ -1,6 +1,6 @@
 //! Fixed-seed fuzz of the governed engine boundary: arbitrary keyword
 //! strings — valid, malformed, adversarial — pushed through
-//! [`Engine::answer_governed`] under a tight budget must always come
+//! [`Engine::run`] under a tight budget must always come
 //! back as either a governed result or a *typed* error. In particular
 //! `CoreError::Internal` (the panic shield's variant) must never appear:
 //! that would mean some input panicked the pipeline.
@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use aqks::core::{Budget, CoreError, Engine};
+use aqks::core::{AnswerRequest, Budget, CoreError, Engine};
 use aqks::datasets::university;
 
 struct Rng(u64);
@@ -72,13 +72,14 @@ fn governed_answer_never_panics_on_arbitrary_input() {
         .with_max_rows(10_000)
         .with_max_patterns(100)
         .with_max_interpretations(5);
+    let req = AnswerRequest { k: 3, budget, trace: false };
     let mut rng = Rng(0xA7_5EED);
     let mut answered = 0;
     let mut exhausted = 0;
     let mut errored = 0;
     for case in 0..400 {
         let q = arb_query(&mut rng);
-        match engine.answer_governed(&q, 3, &budget) {
+        match engine.run(&q, &req) {
             Ok(g) => {
                 if g.exhaustion.is_some() {
                     exhausted += 1;
@@ -87,7 +88,11 @@ fn governed_answer_never_panics_on_arbitrary_input() {
                 }
                 // Partiality bookkeeping stays coherent on junk input.
                 if let Some(ex) = g.exhaustion {
-                    assert_eq!(ex.partial, !g.value.is_empty(), "case {case} `{q}`: {ex:?}");
+                    assert_eq!(
+                        ex.partial,
+                        !g.interpretations.is_empty(),
+                        "case {case} `{q}`: {ex:?}"
+                    );
                 }
             }
             Err(CoreError::Internal(m)) => {
@@ -109,11 +114,15 @@ fn governed_answer_never_panics_on_arbitrary_input() {
 #[test]
 fn zero_deadline_fuzz_always_returns_structured_exhaustion() {
     let engine = Engine::new(university::normalized()).unwrap();
-    let budget = Budget::unlimited().with_timeout(Duration::ZERO);
+    let req = AnswerRequest {
+        k: 2,
+        budget: Budget::unlimited().with_timeout(Duration::ZERO),
+        trace: false,
+    };
     let mut rng = Rng(0xBEEF);
     for case in 0..200 {
         let q = arb_query(&mut rng);
-        match engine.answer_governed(&q, 2, &budget) {
+        match engine.run(&q, &req) {
             Ok(g) => {
                 if let Some(ex) = g.exhaustion {
                     assert_eq!(ex.kind, aqks::guard::BudgetKind::Deadline, "case {case} `{q}`");

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use aqks::core::{Budget, BudgetKind, Engine};
+use aqks::core::{AnswerRequest, Budget, BudgetKind, Engine};
 use aqks::datasets::{denormalize_tpch, generate_tpch, university, TpchConfig};
 
 fn tpch_prime() -> Engine {
@@ -23,16 +23,17 @@ fn tpch_prime_workload_survives_starvation_budget() {
         .with_timeout(Duration::from_millis(1))
         .with_max_rows(1)
         .with_max_patterns(1);
+    let req = AnswerRequest { k: 3, budget, trace: false };
     let mut trips = 0;
     for q in aqks_eval::tpch_queries() {
-        let governed = match engine.answer_governed(q.text, 3, &budget) {
+        let answered = match engine.run(q.text, &req) {
             Ok(g) => g,
             // A term the small dataset cannot match is a legitimate typed
             // error; anything else (especially Internal) is a bug.
             Err(aqks::core::CoreError::NoMatch(_)) => continue,
             Err(e) => panic!("{}: unexpected error {e}", q.id),
         };
-        if let Some(ex) = governed.exhaustion {
+        if let Some(ex) = answered.exhaustion {
             trips += 1;
             assert!(
                 matches!(ex.kind, BudgetKind::Deadline | BudgetKind::Rows | BudgetKind::Patterns),
@@ -40,7 +41,7 @@ fn tpch_prime_workload_survives_starvation_budget() {
                 q.id
             );
             assert!(!ex.site.is_empty(), "{}: trip site recorded", q.id);
-            assert_eq!(ex.partial, !governed.value.is_empty(), "{}: {ex:?}", q.id);
+            assert_eq!(ex.partial, !answered.interpretations.is_empty(), "{}: {ex:?}", q.id);
         }
     }
     assert!(trips > 0, "the starvation budget tripped on at least one workload query");
@@ -58,10 +59,11 @@ fn tpch_prime_generous_budget_is_invisible() {
         .with_max_patterns(10_000);
     let q = "COUNT order \"royal olive\"";
     let plain = engine.answer(q, 1).expect("query answers");
-    let governed = engine.answer_governed(q, 1, &budget).expect("query answers");
-    assert!(governed.exhaustion.is_none());
-    assert_eq!(plain.len(), governed.value.len());
-    assert_eq!(plain[0].result, governed.value[0].result);
+    let answered =
+        engine.run(q, &AnswerRequest { k: 1, budget, trace: false }).expect("query answers");
+    assert!(answered.exhaustion.is_none());
+    assert_eq!(plain.len(), answered.interpretations.len());
+    assert_eq!(plain[0].result, answered.interpretations[0].result);
 }
 
 /// The interpretation cap is a soft trip: on a multi-interpretation
@@ -70,9 +72,11 @@ fn tpch_prime_generous_budget_is_invisible() {
 fn interpretation_cap_yields_partial_results() {
     let engine = Engine::new(university::normalized()).unwrap();
     let budget = Budget::unlimited().with_max_interpretations(1);
-    let governed = engine.answer_governed("Green George COUNT Code", 3, &budget).unwrap();
-    assert_eq!(governed.value.len(), 1);
-    let ex = governed.exhaustion.expect("cap trips");
+    let answered = engine
+        .run("Green George COUNT Code", &AnswerRequest { k: 3, budget, trace: false })
+        .unwrap();
+    assert_eq!(answered.interpretations.len(), 1);
+    let ex = answered.exhaustion.expect("cap trips");
     assert_eq!(ex.kind, BudgetKind::Interpretations);
     assert_eq!(ex.site, "engine.translate");
     assert!(ex.partial);
@@ -86,25 +90,23 @@ fn interpretation_cap_yields_partial_results() {
 #[test]
 fn trip_sites_name_their_layer() {
     let engine = Engine::new(university::normalized()).unwrap();
+    let trip = |q: &str, k: usize, budget: Budget| {
+        let answered = engine.run(q, &AnswerRequest { k, budget, trace: false }).unwrap();
+        answered.exhaustion
+    };
 
-    let g = engine
-        .answer_governed("Green SUM Credit", 1, &Budget::unlimited().with_max_rows(1))
-        .unwrap();
-    let ex = g.exhaustion.expect("row cap trips");
+    let ex =
+        trip("Green SUM Credit", 1, Budget::unlimited().with_max_rows(1)).expect("row cap trips");
     assert_eq!(ex.kind, BudgetKind::Rows);
     assert!(ex.site.starts_with("ops.") || ex.site.starts_with("index."), "{}", ex.site);
 
-    let g = engine
-        .answer_governed("Green George COUNT Code", 3, &Budget::unlimited().with_max_patterns(1))
-        .unwrap();
-    let ex = g.exhaustion.expect("pattern cap trips");
+    let ex = trip("Green George COUNT Code", 3, Budget::unlimited().with_max_patterns(1))
+        .expect("pattern cap trips");
     assert_eq!(ex.kind, BudgetKind::Patterns);
     assert_eq!(ex.site, "pattern.enumerate");
 
-    let g = engine
-        .answer_governed("Green SUM Credit", 1, &Budget::unlimited().with_timeout(Duration::ZERO))
-        .unwrap();
-    let ex = g.exhaustion.expect("deadline trips");
+    let ex = trip("Green SUM Credit", 1, Budget::unlimited().with_timeout(Duration::ZERO))
+        .expect("deadline trips");
     assert_eq!(ex.kind, BudgetKind::Deadline);
     assert!(!ex.partial);
 }
@@ -114,11 +116,12 @@ fn trip_sites_name_their_layer() {
 #[test]
 fn governance_is_per_call() {
     let engine = Engine::new(university::normalized()).unwrap();
-    let starved = Budget::unlimited().with_max_rows(1);
-    assert!(engine.answer_governed("Green SUM Credit", 1, &starved).unwrap().exhaustion.is_some());
+    let starved =
+        AnswerRequest { budget: Budget::unlimited().with_max_rows(1), ..AnswerRequest::new(1) };
+    assert!(engine.run("Green SUM Credit", &starved).unwrap().exhaustion.is_some());
     // Ungoverned and unlimited-governed calls run to completion.
     assert_eq!(engine.answer("Green SUM Credit", 1).unwrap().len(), 1);
-    let g = engine.answer_governed("Green SUM Credit", 1, &Budget::unlimited()).unwrap();
-    assert!(g.exhaustion.is_none());
-    assert_eq!(g.value.len(), 1);
+    let a = engine.run("Green SUM Credit", &AnswerRequest::new(1)).unwrap();
+    assert!(a.exhaustion.is_none());
+    assert_eq!(a.interpretations.len(), 1);
 }

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use aqks::core::Engine;
+use aqks::core::{AnswerRequest, Engine};
 use aqks::datasets::{denormalize_tpch, generate_tpch, TpchConfig};
 use aqks::obs::metrics::{self, MetricValue, Snapshot};
 use aqks::obs::SpanNode;
@@ -67,11 +67,11 @@ fn run_workload(engine: &mut Engine, threads: usize) -> (SpanTotals, BTreeMap<St
     engine.set_threads(threads);
     let before = metrics::global().snapshot();
     let mut spans = BTreeMap::new();
+    let req = AnswerRequest { trace: true, ..AnswerRequest::new(1) };
     for q in tpch_queries() {
-        let (answers, trace) =
-            engine.answer_traced(q.text, 1).unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        assert!(!answers.is_empty(), "{} answered", q.id);
-        for root in &trace.roots {
+        let answered = engine.run(q.text, &req).unwrap_or_else(|e| panic!("{}: {e}", q.id));
+        assert!(!answered.interpretations.is_empty(), "{} answered", q.id);
+        for root in &answered.trace.expect("trace requested").roots {
             op_span_totals(root, &mut spans);
         }
     }

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use aqks::core::{Budget, BudgetKind, Engine};
+use aqks::core::{AnswerRequest, Budget, BudgetKind, Engine};
 use aqks::datasets::{
     denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch, university, AcmdlConfig,
     TpchConfig,
@@ -209,7 +209,7 @@ fn random_plans_execute_identically_sequential_and_parallel() {
 }
 
 /// A budget that trips while parallel workers are active degrades
-/// exactly like the sequential engine: `answer_governed` returns a
+/// exactly like the sequential engine: `Engine::run` returns a
 /// structured exhaustion report (never a panic), scoped workers are
 /// joined before the call returns, and the engine stays usable.
 #[test]
@@ -220,18 +220,17 @@ fn parallel_budget_trip_returns_structured_exhaustion() {
 
     // Pre-expired deadline: workers observe the shared governor at the
     // first checkpoint and cancel mid-morsel.
-    let g = engine
-        .answer_governed("order AVG amount", 1, &Budget::unlimited().with_timeout(Duration::ZERO))
-        .expect("governed answer");
-    let ex = g.exhaustion.expect("expired deadline trips");
+    let run = |budget: Budget| {
+        let answered =
+            engine.run("order AVG amount", &AnswerRequest { k: 1, budget, trace: false });
+        answered.expect("governed answer").exhaustion
+    };
+    let ex = run(Budget::unlimited().with_timeout(Duration::ZERO)).expect("expired deadline trips");
     assert_eq!(ex.kind, BudgetKind::Deadline);
 
     // Row cap: charges happen on the plan's thread regardless of worker
     // count, so the trip site and kind match the sequential engine.
-    let g = engine
-        .answer_governed("order AVG amount", 1, &Budget::unlimited().with_max_rows(1))
-        .expect("governed answer");
-    let ex = g.exhaustion.expect("row cap trips");
+    let ex = run(Budget::unlimited().with_max_rows(1)).expect("row cap trips");
     assert_eq!(ex.kind, BudgetKind::Rows);
 
     // The engine is not poisoned: the same query then answers in full.
