@@ -159,7 +159,7 @@ pub fn run_shared_opts(
     let mut share_batches: Vec<Arc<Vec<ColumnBatch>>> = Vec::with_capacity(set.shares.len());
     let mut share_stats = Vec::with_capacity(set.shares.len());
     for sp in &set.shares {
-        let (batches, stats) = materialize_batches(&sp.subtree, db, opts)?;
+        let (batches, stats) = materialize_batches(&sp.subtree, db, &SharedRows::new(), opts)?;
         share_batches.push(Arc::new(batches));
         share_stats.push(stats);
     }

@@ -4,8 +4,7 @@
 //! over the two-layer pipeline: [`execute`] lowers the statement into a
 //! physical operator tree via [`crate::plan::plan`] and runs it with
 //! [`crate::ops::run_plan`], keeping the exact signature and SQL
-//! semantics of the original single-pass interpreter. Callers that want
-//! the per-operator metrics use [`execute_with_stats`].
+//! semantics of the original single-pass interpreter.
 //!
 //! Semantics follow SQL: aggregates skip NULLs; `SUM`/`MIN`/`MAX`/`AVG`
 //! over an empty group yield NULL while `COUNT` yields 0; `AVG` is always
@@ -22,7 +21,6 @@ use aqks_relational::Value;
 use crate::ast::SelectStatement;
 #[cfg(test)]
 use crate::ast::{AggFunc, ColumnRef, Predicate, SelectItem, TableExpr};
-use crate::ops::ExecStats;
 use crate::result::ResultTable;
 
 /// Errors raised during planning or execution.
@@ -70,31 +68,12 @@ impl From<aqks_guard::FailpointError> for ExecError {
     }
 }
 
-/// Executes `stmt` against `db`.
+/// Executes `stmt` against `db`. Callers that want the per-operator
+/// metrics or more worker threads plan the statement with
+/// [`crate::plan::plan`] and run it with [`crate::ops::run_plan_opts`].
 pub fn execute(stmt: &SelectStatement, db: &Database) -> Result<ResultTable, ExecError> {
-    execute_with_stats(stmt, db).map(|(table, _)| table)
-}
-
-/// Executes `stmt` against `db`, also returning the per-operator
-/// execution metrics (rows in/out, build/probe sizes, wall time) of the
-/// physical plan that ran.
-pub fn execute_with_stats(
-    stmt: &SelectStatement,
-    db: &Database,
-) -> Result<(ResultTable, ExecStats), ExecError> {
-    execute_with_opts(stmt, db, crate::par::ExecOptions::default())
-}
-
-/// [`execute_with_stats`] with execution options (worker thread count).
-/// Results are identical at every thread count; only wall time and the
-/// per-operator `threads` stats change.
-pub fn execute_with_opts(
-    stmt: &SelectStatement,
-    db: &Database,
-    opts: crate::par::ExecOptions,
-) -> Result<(ResultTable, ExecStats), ExecError> {
     let plan = crate::plan::plan(stmt, db)?;
-    crate::ops::run_plan_opts(&plan, db, &crate::ops::SharedRows::new(), opts)
+    crate::ops::run_plan(&plan, db).map(|(table, _)| table)
 }
 
 #[cfg(test)]

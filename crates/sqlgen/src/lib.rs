@@ -33,11 +33,8 @@ pub mod result;
 
 pub use ast::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
 pub use batch::{Bitmap, Column, ColumnBatch, ColumnData};
-pub use exec::{execute, execute_with_opts, execute_with_stats, ExecError};
-pub use ops::{
-    materialize_batches, materialize_plan, materialize_shared, run_plan, run_plan_opts,
-    run_plan_with_shared, ExecStats, OpMetrics, SharedRows,
-};
+pub use exec::{execute, ExecError};
+pub use ops::{materialize_batches, run_plan, run_plan_opts, ExecStats, OpMetrics, SharedRows};
 pub use par::ExecOptions;
 pub use plan::{
     plan, plan_with_options, render_plan, render_plan_with_stats, PhysAggItem, PhysPred, PlanNode,

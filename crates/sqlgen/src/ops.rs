@@ -10,16 +10,19 @@
 //! `aqks explain --analyze` and the bench harness can attribute cost
 //! operator by operator.
 //!
-//! With [`ExecOptions::threads`] > 1 the heavy operators go parallel:
-//! the scan filters fixed-size morsels on a scoped worker pool, the
-//! hash-join build radix-partitions its keys and builds per-partition
-//! tables concurrently, and the aggregate folds contiguous input chunks
-//! into per-chunk partial states merged deterministically at finalize.
-//! Results are *identical* at every thread count: morsel/chunk results
-//! are re-assembled in input order, per-key join match lists stay in
-//! global build order, and group output keeps first-appearance order.
-//! `threads == 1` (the default) takes the exact sequential legacy code
-//! paths, including the lazy scan and streaming join probe.
+//! The heavy operators are morsel-driven (Leis et al., SIGMOD 2014):
+//! each has one kernel over a 1024-row morsel or an input chunk —
+//! `scan_morsel` filters, `build_join_table` radix-partitions and
+//! indexes join keys, `probe_batch` probes, `accumulate_batch` folds
+//! aggregate partials — and [`ExecOptions::threads`] only decides how
+//! many workers run it. One worker runs the kernels inline on the
+//! plan's thread, lazily where it can: the scan filters one morsel per
+//! `next` (so `LIMIT` short-circuits it) and the join streams its probe
+//! side. More workers run the same kernels on a scoped pool.
+//! Results, and every operator's `rows_out` and `batches`, are
+//! *identical* at every thread count: morsel/chunk results are
+//! re-assembled in input order, per-key join match lists stay in global
+//! build order, and group output keeps first-appearance order.
 //!
 //! SQL semantics are inherited unchanged from the original interpreter:
 //! aggregates skip NULLs, `SUM`/`MIN`/`MAX`/`AVG` over an empty group
@@ -39,15 +42,16 @@ use aqks_relational::{Database, Row, Value};
 use crate::ast::AggFunc;
 use crate::batch::{ColumnBatch, ColumnData};
 use crate::exec::ExecError;
-use crate::par::{self, ExecOptions, MORSEL_SIZE, PAR_THRESHOLD};
+use crate::par::{self, ExecOptions};
 use crate::plan::{PhysAggItem, PhysPred, PlanNode, PlanOp};
 use crate::result::ResultTable;
 
-/// Rows per batch handed between operators.
-const BATCH_SIZE: usize = 1024;
+/// Rows per morsel — the unit of kernel work — and per output window of
+/// the operators that emit buffered rows (aggregate, sort, cross join).
+const MORSEL_SIZE: usize = 1024;
 
-/// Rows between cooperative deadline re-checks inside a parallel
-/// section (workers have no ambient thread-local governor, so they poll
+/// Rows between cooperative deadline re-checks inside a kernel (pool
+/// workers have no ambient thread-local governor, so every kernel polls
 /// a captured handle mid-morsel).
 const CHECK_EVERY: usize = 512;
 
@@ -389,18 +393,52 @@ fn filter_pred(batch: &ColumnBatch, pred: &PhysPred, idx: &mut Vec<u32>) {
 // Operators
 // ---------------------------------------------------------------------------
 
-/// Sequential or morsel-parallel scan with scan-time predicate
-/// evaluation. At `threads == 1` (or under [`PAR_THRESHOLD`] rows) the
-/// scan stays lazy, pulling [`BATCH_SIZE`] rows per `next` so `LIMIT`
-/// can short-circuit it. The parallel path filters [`MORSEL_SIZE`]-row
-/// morsels on the worker pool at `open` and emits the surviving batches
-/// in morsel order, so output order matches the sequential path.
+/// Polls `gov`'s deadline every [`CHECK_EVERY`] rows of a kernel loop.
+fn poll_deadline(
+    gov: Option<&aqks_guard::Governor>,
+    row: usize,
+    site: &'static str,
+) -> Result<(), ExecError> {
+    match gov {
+        Some(g) if row % CHECK_EVERY == CHECK_EVERY - 1 => Ok(g.check_deadline(site)?),
+        _ => Ok(()),
+    }
+}
+
+/// Scan kernel: filters morsel `m` of `rows` through `preds`, returning
+/// the survivors as one batch, or `None` when none survive.
+fn scan_morsel(
+    rows: &[Row],
+    preds: &[PhysPred],
+    width: usize,
+    m: usize,
+    gov: Option<&aqks_guard::Governor>,
+) -> Result<Option<ColumnBatch>, ExecError> {
+    let start = m * MORSEL_SIZE;
+    let end = (start + MORSEL_SIZE).min(rows.len());
+    let mut keep: Vec<&Row> = Vec::new();
+    for (off, row) in rows[start..end].iter().enumerate() {
+        poll_deadline(gov, off, "ops.Scan")?;
+        if preds.iter().all(|p| p.eval(row)) {
+            keep.push(row);
+        }
+    }
+    Ok((!keep.is_empty()).then(|| ColumnBatch::from_row_refs(width, &keep)))
+}
+
+/// Scan with scan-time predicate evaluation: one batch per morsel with
+/// survivors, in morsel order. One worker filters one morsel per
+/// `next`, so `LIMIT` can short-circuit the scan; more workers filter
+/// every morsel on the pool at `open` and replay the batches.
 struct Scan<'a> {
     rows: &'a [Row],
     preds: &'a [PhysPred],
     threads: usize,
     width: usize,
-    pos: usize,
+    gov: Option<aqks_guard::Governor>,
+    /// Next morsel to filter (one worker).
+    morsel: usize,
+    /// Batches filtered at `open` (more workers), and how many emitted.
     batches: Option<Vec<ColumnBatch>>,
     emitted: usize,
     par_threads: u32,
@@ -409,36 +447,20 @@ struct Scan<'a> {
 
 impl Operator for Scan<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
-        self.pos = 0;
+        self.morsel = 0;
         self.emitted = 0;
         self.width = self.rows.first().map_or(0, Vec::len);
-        if self.threads > 1 && self.rows.len() >= PAR_THRESHOLD {
-            let (rows, preds, width) = (self.rows, self.preds, self.width);
+        self.gov = aqks_guard::current();
+        let workers = par::workers(self.threads, self.rows.len());
+        if workers > 1 {
+            let (rows, preds, width, gov) = (self.rows, self.preds, self.width, self.gov.as_ref());
             let n_morsels = rows.len().div_ceil(MORSEL_SIZE);
-            let gov = aqks_guard::current();
             let t = Instant::now();
-            let out = par::run_tasks(self.threads, n_morsels, "ops.Scan", |m| {
-                let start = m * MORSEL_SIZE;
-                let end = (start + MORSEL_SIZE).min(rows.len());
-                let mut keep: Vec<&Row> = Vec::new();
-                for (off, row) in rows[start..end].iter().enumerate() {
-                    if off % CHECK_EVERY == CHECK_EVERY - 1 {
-                        if let Some(g) = &gov {
-                            g.check_deadline("ops.Scan")?;
-                        }
-                    }
-                    if preds.iter().all(|p| p.eval(row)) {
-                        keep.push(row);
-                    }
-                }
-                Ok(if keep.is_empty() {
-                    None
-                } else {
-                    Some(ColumnBatch::from_row_refs(width, &keep))
-                })
+            let out = par::run_tasks(workers, n_morsels, "ops.Scan", |m| {
+                scan_morsel(rows, preds, width, m, gov)
             })?;
             self.par_wall = t.elapsed();
-            self.par_threads = self.threads.min(n_morsels) as u32;
+            self.par_threads = workers.min(n_morsels) as u32;
             self.batches = Some(out.into_iter().flatten().collect());
         }
         Ok(())
@@ -446,25 +468,18 @@ impl Operator for Scan<'_> {
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
         if let Some(batches) = &self.batches {
-            if self.emitted >= batches.len() {
-                return Ok(None);
-            }
             self.emitted += 1;
-            return Ok(Some(batches[self.emitted - 1].clone()));
+            return Ok(batches.get(self.emitted - 1).cloned());
         }
-        let mut out: Vec<&Row> = Vec::new();
-        while self.pos < self.rows.len() && out.len() < BATCH_SIZE {
-            let row = &self.rows[self.pos];
-            self.pos += 1;
-            if self.preds.iter().all(|p| p.eval(row)) {
-                out.push(row);
+        while self.morsel * MORSEL_SIZE < self.rows.len() {
+            self.morsel += 1;
+            let out =
+                scan_morsel(self.rows, self.preds, self.width, self.morsel - 1, self.gov.as_ref())?;
+            if out.is_some() {
+                return Ok(out);
             }
         }
-        if out.is_empty() && self.pos >= self.rows.len() {
-            Ok(None)
-        } else {
-            Ok(Some(ColumnBatch::from_row_refs(self.width, &out)))
-        }
+        Ok(None)
     }
 
     fn close(&mut self) {
@@ -476,7 +491,7 @@ impl Operator for Scan<'_> {
     }
 
     fn mem_bytes(&self) -> u64 {
-        // The parallel path materializes every surviving batch at open.
+        // More workers materialize every surviving batch at open.
         self.batches.as_ref().map_or(0, |bs| bs.iter().map(ColumnBatch::byte_size).sum())
     }
 }
@@ -530,10 +545,13 @@ impl Operator for Filter<'_> {
     }
 }
 
-/// Hash of a join key, used only to pick a radix partition; partition
-/// assignment never affects output order, but `DefaultHasher` with
-/// fixed keys is deterministic anyway.
+/// Radix partition of a join key under `mask` (`0` = one partition,
+/// no hashing). Partition assignment never affects output order, but
+/// `DefaultHasher` with fixed keys is deterministic anyway.
 fn part_of(key: &[Value], mask: u64) -> usize {
+    if mask == 0 {
+        return 0;
+    }
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() & mask) as usize
@@ -558,7 +576,7 @@ type KeyedIdx = Vec<(Vec<Value>, u32)>;
 
 /// Partition-indexed hash table over build-side row indices. Per-key
 /// index lists are in ascending global build order, which pins the
-/// probe-output match order to what the sequential build produces.
+/// probe-output match order at every worker count.
 #[derive(Default)]
 struct JoinTable {
     partitions: Vec<HashMap<Vec<Value>, Vec<u32>>>,
@@ -567,56 +585,32 @@ struct JoinTable {
 
 impl JoinTable {
     fn get(&self, key: &[Value]) -> Option<&Vec<u32>> {
-        if self.partitions.is_empty() {
-            return None;
-        }
-        let p = if self.partitions.len() == 1 { 0 } else { part_of(key, self.mask) };
-        self.partitions[p].get(key)
+        self.partitions.get(part_of(key, self.mask))?.get(key)
     }
 }
 
-/// Builds the join table over `data`'s key columns. Sequential at
-/// `workers <= 1`; otherwise radix-partitioned in two parallel phases:
-/// morsels route `(key, index)` pairs into per-morsel partition
-/// buckets, then one task per partition folds the buckets *in morsel
-/// order* into its hash map — every per-key index list comes out in
-/// ascending global row order, exactly like the sequential build.
+/// Join-build kernel: indexes `data`'s key columns into `parts` radix
+/// partitions (a power of two) in two phases on `workers` workers.
+/// Morsels route `(key, index)` pairs into per-morsel partition buckets,
+/// then one task per partition folds the buckets *in morsel order* into
+/// its hash map, so every per-key index list comes out in ascending
+/// global row order.
 fn build_join_table(
     data: &ColumnBatch,
     keys: &[usize],
-    threads: usize,
-) -> Result<(JoinTable, u32, Duration), ExecError> {
+    workers: usize,
+    parts: usize,
+) -> Result<JoinTable, ExecError> {
     let n = data.len();
-    let workers = if threads > 1 && n >= PAR_THRESHOLD { threads } else { 1 };
-    if workers <= 1 {
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for i in 0..n {
-            if let Some(key) = key_at(data, keys, i) {
-                map.entry(key).or_default().push(i as u32);
-            }
-        }
-        return Ok((JoinTable { partitions: vec![map], mask: 0 }, 1, Duration::ZERO));
-    }
-    /// Radix fan-out: enough partitions to keep 8-16 workers busy
-    /// without fragmenting small builds.
-    const PARTITIONS: usize = 32;
-    let mask = (PARTITIONS - 1) as u64;
+    let mask = (parts - 1) as u64;
     let gov = aqks_guard::current();
-    let t = Instant::now();
-    let n_morsels = n.div_ceil(MORSEL_SIZE);
-    let morsels = par::run_tasks(workers, n_morsels, "ops.HashJoin", |mi| {
+    let morsels = par::run_tasks(workers, n.div_ceil(MORSEL_SIZE), "ops.HashJoin", |mi| {
         let start = mi * MORSEL_SIZE;
-        let end = (start + MORSEL_SIZE).min(n);
-        let mut buckets: Vec<KeyedIdx> = (0..PARTITIONS).map(|_| Vec::new()).collect();
-        for i in start..end {
-            if (i - start) % CHECK_EVERY == CHECK_EVERY - 1 {
-                if let Some(g) = &gov {
-                    g.check_deadline("ops.HashJoin")?;
-                }
-            }
+        let mut buckets: Vec<KeyedIdx> = (0..parts).map(|_| Vec::new()).collect();
+        for i in start..(start + MORSEL_SIZE).min(n) {
+            poll_deadline(gov.as_ref(), i - start, "ops.HashJoin")?;
             if let Some(key) = key_at(data, keys, i) {
-                let p = part_of(&key, mask);
-                buckets[p].push((key, i as u32));
+                buckets[part_of(&key, mask)].push((key, i as u32));
             }
         }
         Ok(buckets)
@@ -624,32 +618,65 @@ fn build_join_table(
     // Route each morsel's buckets to its partition slot (cheap Vec
     // moves), preserving morsel order per partition.
     let slots: Vec<Mutex<Vec<KeyedIdx>>> =
-        (0..PARTITIONS).map(|_| Mutex::new(Vec::with_capacity(morsels.len()))).collect();
+        (0..parts).map(|_| Mutex::new(Vec::with_capacity(morsels.len()))).collect();
     for mut morsel in morsels {
         for (p, bucket) in morsel.drain(..).enumerate() {
             par::relock(&slots[p]).push(bucket);
         }
     }
-    let partitions = par::run_tasks(workers, PARTITIONS, "ops.HashJoin", |p| {
+    let partitions = par::run_tasks(workers, parts, "ops.HashJoin", |p| {
         let chunks = std::mem::take(&mut *par::relock(&slots[p]));
         let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for chunk in chunks {
-            for (key, i) in chunk {
-                map.entry(key).or_default().push(i);
-            }
+        for (key, i) in chunks.into_iter().flatten() {
+            map.entry(key).or_default().push(i);
         }
         Ok(map)
     })?;
-    Ok((JoinTable { partitions, mask }, workers.min(n_morsels) as u32, t.elapsed()))
+    Ok(JoinTable { partitions, mask })
+}
+
+/// Join-probe kernel: every match of `probe`'s rows in `table`, in probe
+/// row order and global build order per row, with columns left then
+/// right; `None` when nothing matches.
+fn probe_batch(
+    build: &ColumnBatch,
+    table: &JoinTable,
+    build_left: bool,
+    probe: &ColumnBatch,
+    keys: &[usize],
+    gov: Option<&aqks_guard::Governor>,
+) -> Result<Option<ColumnBatch>, ExecError> {
+    let mut bidx: Vec<u32> = Vec::new();
+    let mut pidx: Vec<u32> = Vec::new();
+    for i in 0..probe.len() {
+        poll_deadline(gov, i, "ops.HashJoin")?;
+        let Some(key) = key_at(probe, keys, i) else { continue };
+        if let Some(matches) = table.get(&key) {
+            for &m in matches {
+                bidx.push(m);
+                pidx.push(i as u32);
+            }
+        }
+    }
+    if bidx.is_empty() {
+        return Ok(None);
+    }
+    let (bside, pside) = (build.gather(&bidx), probe.gather(&pidx));
+    Ok(Some(if build_left {
+        ColumnBatch::hcat(&bside, &pside)
+    } else {
+        ColumnBatch::hcat(&pside, &bside)
+    }))
 }
 
 /// Multi-key hash equi-join. The build side (chosen by the planner from
-/// cardinality estimates) is drained and indexed at `open` (radix-
-/// partitioned in parallel when threads allow); the probe side streams
-/// at `threads == 1` and is probed batch-parallel otherwise. Output
-/// columns are always left then right, whichever side built, and match
-/// order within a probe row follows global build order at every thread
-/// count. NULL keys never match on either side.
+/// cardinality estimates) is drained and indexed at `open` by
+/// [`build_join_table`] — one partition at one worker, 32 radix
+/// partitions otherwise. [`probe_batch`] probes each probe-side batch:
+/// at `threads == 1` the probe side streams, one batch per `next`;
+/// otherwise it is drained once and probed batch-parallel. Output
+/// columns are always left then right, whichever side built, and NULL
+/// keys never match on either side.
 struct HashJoin<'a> {
     left: Metered<'a>,
     right: Metered<'a>,
@@ -657,8 +684,8 @@ struct HashJoin<'a> {
     right_keys: &'a [usize],
     build_left: bool,
     threads: usize,
-    build_data: Option<ColumnBatch>,
-    table: JoinTable,
+    gov: Option<aqks_guard::Governor>,
+    build: Option<(ColumnBatch, JoinTable)>,
     out: Option<Vec<ColumnBatch>>,
     emitted: usize,
     build_rows: u64,
@@ -672,6 +699,7 @@ impl Operator for HashJoin<'_> {
         aqks_guard::failpoint!("join.build");
         self.left.open()?;
         self.right.open()?;
+        self.gov = aqks_guard::current();
         let (build, keys) = if self.build_left {
             (&mut self.left, self.left_keys)
         } else {
@@ -691,11 +719,15 @@ impl Operator for HashJoin<'_> {
         }
         if !batches.is_empty() {
             let data = ColumnBatch::concat(batches[0].width(), &batches);
-            let (table, threads, wall) = build_join_table(&data, keys, self.threads)?;
-            self.table = table;
-            self.par_threads = threads;
-            self.par_wall = wall;
-            self.build_data = Some(data);
+            let workers = par::workers(self.threads, data.len());
+            // Radix fan-out: enough partitions to keep 8-16 workers busy
+            // without fragmenting small builds.
+            let parts = if workers > 1 { 32 } else { 1 };
+            let t = Instant::now();
+            let table = build_join_table(&data, keys, workers, parts)?;
+            self.par_wall = if workers > 1 { t.elapsed() } else { Duration::ZERO };
+            self.par_threads = workers.min(data.len().div_ceil(MORSEL_SIZE)) as u32;
+            self.build = Some((data, table));
         }
         Ok(())
     }
@@ -706,100 +738,48 @@ impl Operator for HashJoin<'_> {
         } else {
             (&mut self.left, self.left_keys)
         };
-        if self.threads > 1 {
-            // Parallel mode: drain the probe side once, probe every
-            // batch on the pool, emit outputs in probe-batch order.
-            if self.out.is_none() {
-                let mut probe_batches = Vec::new();
-                while let Some(batch) = probe.next()? {
-                    self.probe_rows += batch.len() as u64;
-                    if !batch.is_empty() {
-                        probe_batches.push(batch);
-                    }
-                }
-                let produced = if let Some(data) = &self.build_data {
-                    let (table, build_left) = (&self.table, self.build_left);
-                    let gov = aqks_guard::current();
-                    let t = Instant::now();
-                    let res =
-                        par::run_tasks(self.threads, probe_batches.len(), "ops.HashJoin", |bi| {
-                            let batch = &probe_batches[bi];
-                            let mut bidx: Vec<u32> = Vec::new();
-                            let mut pidx: Vec<u32> = Vec::new();
-                            for i in 0..batch.len() {
-                                if i % CHECK_EVERY == CHECK_EVERY - 1 {
-                                    if let Some(g) = &gov {
-                                        g.check_deadline("ops.HashJoin")?;
-                                    }
-                                }
-                                let Some(key) = key_at(batch, keys, i) else { continue };
-                                if let Some(matches) = table.get(&key) {
-                                    for &m in matches {
-                                        bidx.push(m);
-                                        pidx.push(i as u32);
-                                    }
-                                }
-                            }
-                            if bidx.is_empty() {
-                                return Ok(None);
-                            }
-                            let bside = data.gather(&bidx);
-                            let pside = batch.gather(&pidx);
-                            Ok(Some(if build_left {
-                                ColumnBatch::hcat(&bside, &pside)
-                            } else {
-                                ColumnBatch::hcat(&pside, &bside)
-                            }))
-                        })?;
-                    self.par_wall += t.elapsed();
-                    self.par_threads =
-                        self.par_threads.max(self.threads.min(probe_batches.len()) as u32);
-                    res.into_iter().flatten().collect()
-                } else {
-                    Vec::new()
-                };
-                self.out = Some(produced);
-                self.emitted = 0;
-            }
-            let out = self.out.as_ref().map_or(&[][..], Vec::as_slice);
-            if self.emitted >= out.len() {
-                return Ok(None);
-            }
-            self.emitted += 1;
-            return Ok(Some(out[self.emitted - 1].clone()));
-        }
-        // Sequential mode: stream the probe side.
-        while let Some(batch) = probe.next()? {
-            self.probe_rows += batch.len() as u64;
-            let mut bidx: Vec<u32> = Vec::new();
-            let mut pidx: Vec<u32> = Vec::new();
-            for i in 0..batch.len() {
-                let Some(key) = key_at(&batch, keys, i) else { continue };
-                if let Some(matches) = self.table.get(&key) {
-                    for &m in matches {
-                        bidx.push(m);
-                        pidx.push(i as u32);
-                    }
+        let build_left = self.build_left;
+        if self.threads <= 1 {
+            while let Some(batch) = probe.next()? {
+                self.probe_rows += batch.len() as u64;
+                let Some((data, table)) = &self.build else { continue };
+                let out = probe_batch(data, table, build_left, &batch, keys, self.gov.as_ref())?;
+                if out.is_some() {
+                    return Ok(out);
                 }
             }
-            if bidx.is_empty() {
-                continue;
-            }
-            let Some(data) = &self.build_data else { continue };
-            let bside = data.gather(&bidx);
-            let pside = batch.gather(&pidx);
-            return Ok(Some(if self.build_left {
-                ColumnBatch::hcat(&bside, &pside)
-            } else {
-                ColumnBatch::hcat(&pside, &bside)
-            }));
+            return Ok(None);
         }
-        Ok(None)
+        if self.out.is_none() {
+            let mut probe_batches = Vec::new();
+            while let Some(batch) = probe.next()? {
+                self.probe_rows += batch.len() as u64;
+                if !batch.is_empty() {
+                    probe_batches.push(batch);
+                }
+            }
+            let mut produced = Vec::new();
+            if let Some((data, table)) = &self.build {
+                let gov = self.gov.as_ref();
+                let t = Instant::now();
+                let res =
+                    par::run_tasks(self.threads, probe_batches.len(), "ops.HashJoin", |bi| {
+                        probe_batch(data, table, build_left, &probe_batches[bi], keys, gov)
+                    })?;
+                self.par_wall += t.elapsed();
+                self.par_threads =
+                    self.par_threads.max(self.threads.min(probe_batches.len()) as u32);
+                produced = res.into_iter().flatten().collect();
+            }
+            self.out = Some(produced);
+        }
+        let out = self.out.as_deref().unwrap_or_default();
+        self.emitted += 1;
+        Ok(out.get(self.emitted - 1).cloned())
     }
 
     fn close(&mut self) {
-        self.table = JoinTable::default();
-        self.build_data = None;
+        self.build = None;
         self.out = None;
         self.left.close();
         self.right.close();
@@ -814,20 +794,25 @@ impl Operator for HashJoin<'_> {
     }
 
     fn mem_bytes(&self) -> u64 {
-        // Build side plus (in parallel mode) the materialized probe
+        // Build side plus (at more workers) the materialized probe
         // output; the hash table's key index is not columnar and is
         // not counted.
-        self.build_data.as_ref().map_or(0, ColumnBatch::byte_size)
+        self.build.as_ref().map_or(0, |(data, _)| data.byte_size())
             + self.out.as_ref().map_or(0, |o| o.iter().map(ColumnBatch::byte_size).sum())
     }
 }
 
 /// Cross product, used only when no equi-join connects the inputs. The
-/// right (planner-chosen smallest) side is buffered; the left streams.
+/// right (planner-chosen smallest) side is buffered; the left streams,
+/// and each left batch's product with the buffer is emitted in windows
+/// of at most [`MORSEL_SIZE`] rows, so a budget's row charge lands
+/// before the next window is built.
 struct CrossJoin<'a> {
     left: Metered<'a>,
     right: Metered<'a>,
     buffer: Option<ColumnBatch>,
+    /// The left batch being crossed, and its next product row.
+    current: Option<(ColumnBatch, usize)>,
 }
 
 impl Operator for CrossJoin<'_> {
@@ -849,26 +834,28 @@ impl Operator for CrossJoin<'_> {
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
         let Some(buf) = &self.buffer else { return Ok(None) };
-        while let Some(batch) = self.left.next()? {
-            if batch.is_empty() {
-                continue;
-            }
-            let (nl, nr) = (batch.len(), buf.len());
-            let mut lidx = Vec::with_capacity(nl * nr);
-            let mut ridx = Vec::with_capacity(nl * nr);
-            for l in 0..nl as u32 {
-                for r in 0..nr as u32 {
-                    lidx.push(l);
-                    ridx.push(r);
+        let nr = buf.len();
+        loop {
+            if let Some((batch, pos)) = &mut self.current {
+                let total = batch.len() * nr;
+                if *pos < total {
+                    let end = (*pos + MORSEL_SIZE).min(total);
+                    let (lidx, ridx): (Vec<u32>, Vec<u32>) =
+                        (*pos..end).map(|i| ((i / nr) as u32, (i % nr) as u32)).unzip();
+                    *pos = end;
+                    return Ok(Some(ColumnBatch::hcat(&batch.gather(&lidx), &buf.gather(&ridx))));
                 }
             }
-            return Ok(Some(ColumnBatch::hcat(&batch.gather(&lidx), &buf.gather(&ridx))));
+            match self.left.next()? {
+                Some(batch) => self.current = Some((batch, 0)),
+                None => return Ok(None),
+            }
         }
-        Ok(None)
     }
 
     fn close(&mut self) {
         self.buffer = None;
+        self.current = None;
         self.left.close();
         self.right.close();
     }
@@ -964,8 +951,8 @@ fn merge_state(a: &mut AggState, b: AggState) {
     match (a, b) {
         (AggState::Count(x), AggState::Count(y)) => *x += y,
         (AggState::Min(x), AggState::Min(Some(vy))) => match x {
-            // The earlier chunk's minimum wins ties, matching the
-            // sequential pass's first-among-equals behaviour.
+            // The earlier chunk's minimum wins ties, matching a
+            // one-chunk fold's first-among-equals behaviour.
             Some(vx) if vy >= *vx => {}
             _ => *x = Some(vy),
         },
@@ -1001,10 +988,29 @@ impl Partial {
     fn new() -> Partial {
         Partial { order: Vec::new(), groups: HashMap::new() }
     }
+
+    /// Merges a later chunk's partial into this one: new keys append in
+    /// their first-appearance order, shared keys merge state by state.
+    fn merge(&mut self, mut later: Partial) {
+        for key in later.order {
+            let Some(states) = later.groups.remove(&key) else { continue };
+            match self.groups.entry(key) {
+                Entry::Occupied(mut e) => {
+                    for (a, b) in e.get_mut().iter_mut().zip(states) {
+                        merge_state(a, b);
+                    }
+                }
+                Entry::Vacant(e) => {
+                    self.order.push(e.key().clone());
+                    e.insert(states);
+                }
+            }
+        }
+    }
 }
 
-/// Folds one batch into a partial, polling the captured governor's
-/// deadline mid-chunk when present.
+/// Aggregate kernel: folds one batch into a partial, polling the
+/// captured governor's deadline mid-batch when present.
 fn accumulate_batch(
     p: &mut Partial,
     batch: &ColumnBatch,
@@ -1013,11 +1019,7 @@ fn accumulate_batch(
     gov: Option<&aqks_guard::Governor>,
 ) -> Result<(), ExecError> {
     for i in 0..batch.len() {
-        if i % CHECK_EVERY == CHECK_EVERY - 1 {
-            if let Some(g) = gov {
-                g.check_deadline("ops.HashAggregate")?;
-            }
-        }
+        poll_deadline(gov, i, "ops.HashAggregate")?;
         let key: Vec<Value> = group.iter().map(|&c| batch.value(c, i)).collect();
         let states = match p.groups.entry(key) {
             Entry::Occupied(e) => e.into_mut(),
@@ -1059,11 +1061,12 @@ fn chunk_ranges(batches: &[ColumnBatch], workers: usize) -> Vec<(usize, usize)> 
     out
 }
 
-/// Grouped/global aggregation (pipeline breaker). Two-phase when
-/// parallel: contiguous input chunks fold into per-chunk [`Partial`]s
-/// on the pool, then the partials merge *in chunk order* — group output
-/// order (first appearance) and `Vals` row order both come out equal to
-/// the sequential fold's, at any thread count.
+/// Grouped/global aggregation (pipeline breaker), always two-phase:
+/// contiguous input chunks (one per worker) fold into per-chunk
+/// [`Partial`]s via [`accumulate_batch`], then later partials merge
+/// into the first *in chunk order* — group output order (first
+/// appearance) and `Vals` row order come out the same at any thread
+/// count.
 struct HashAggregate<'a> {
     child: Metered<'a>,
     group: &'a [usize],
@@ -1094,48 +1097,27 @@ impl Operator for HashAggregate<'_> {
         }
         aqks_guard::failpoint!("agg.finalize");
         let total: usize = batches.iter().map(ColumnBatch::len).sum();
-        let workers = if self.threads > 1 && total >= PAR_THRESHOLD { self.threads } else { 1 };
+        let workers = par::workers(self.threads, total);
         let (group, items) = (self.group, self.items);
-        let (mut order, mut groups) = if workers <= 1 {
+        let chunks = chunk_ranges(&batches, workers);
+        let gov = aqks_guard::current();
+        let t = Instant::now();
+        let partials = par::run_tasks(workers, chunks.len(), "ops.HashAggregate", |ci| {
+            let (s, e) = chunks[ci];
             let mut p = Partial::new();
-            for b in &batches {
-                accumulate_batch(&mut p, b, group, items, None)?;
+            for b in &batches[s..e] {
+                accumulate_batch(&mut p, b, group, items, gov.as_ref())?;
             }
-            (p.order, p.groups)
-        } else {
-            let chunks = chunk_ranges(&batches, workers);
-            let gov = aqks_guard::current();
-            let t = Instant::now();
-            let partials = par::run_tasks(workers, chunks.len(), "ops.HashAggregate", |ci| {
-                let (s, e) = chunks[ci];
-                let mut p = Partial::new();
-                for b in &batches[s..e] {
-                    accumulate_batch(&mut p, b, group, items, gov.as_ref())?;
-                }
-                Ok(p)
-            })?;
-            self.par_wall = t.elapsed();
-            self.par_threads = workers.min(chunks.len()) as u32;
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-            for mut p in partials {
-                for key in p.order {
-                    let Some(states) = p.groups.remove(&key) else { continue };
-                    match groups.entry(key) {
-                        Entry::Occupied(mut e) => {
-                            for (a, b) in e.get_mut().iter_mut().zip(states) {
-                                merge_state(a, b);
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            order.push(e.key().clone());
-                            e.insert(states);
-                        }
-                    }
-                }
-            }
-            (order, groups)
-        };
+            Ok(p)
+        })?;
+        self.par_wall = t.elapsed();
+        self.par_threads = workers.min(chunks.len()) as u32;
+        let mut partials = partials.into_iter();
+        let mut acc = partials.next().unwrap_or_else(Partial::new);
+        for p in partials {
+            acc.merge(p);
+        }
+        let Partial { mut order, mut groups } = acc;
         // A global aggregate over an empty input still yields one row.
         if order.is_empty() && self.group.is_empty() {
             order.push(Vec::new());
@@ -1158,7 +1140,7 @@ impl Operator for HashAggregate<'_> {
         if self.emitted >= self.output.len() {
             return Ok(None);
         }
-        let end = (self.emitted + BATCH_SIZE).min(self.output.len());
+        let end = (self.emitted + MORSEL_SIZE).min(self.output.len());
         let batch = ColumnBatch::from_rows(self.items.len(), &self.output[self.emitted..end]);
         self.emitted = end;
         Ok(Some(batch))
@@ -1285,7 +1267,7 @@ impl Operator for Sort<'_> {
         if self.emitted >= self.buffer.len() {
             return Ok(None);
         }
-        let end = (self.emitted + BATCH_SIZE).min(self.buffer.len());
+        let end = (self.emitted + MORSEL_SIZE).min(self.buffer.len());
         let batch = ColumnBatch::from_rows(self.width, &self.buffer[self.emitted..end]);
         self.emitted = end;
         Ok(Some(batch))
@@ -1382,7 +1364,8 @@ fn build<'a>(
                 preds: pushed,
                 threads: opts.threads,
                 width: 0,
-                pos: 0,
+                gov: None,
+                morsel: 0,
                 batches: None,
                 emitted: 0,
                 par_threads: 0,
@@ -1403,8 +1386,8 @@ fn build<'a>(
             right_keys,
             build_left: *build_left,
             threads: opts.threads,
-            build_data: None,
-            table: JoinTable::default(),
+            gov: None,
+            build: None,
             out: None,
             emitted: 0,
             build_rows: 0,
@@ -1416,6 +1399,7 @@ fn build<'a>(
             left: build(&node.children[0], db, stats, governed, shared, opts)?,
             right: build(&node.children[1], db, stats, governed, shared, opts)?,
             buffer: None,
+            current: None,
         }),
         PlanOp::HashAggregate { group, items, .. } => Box::new(HashAggregate {
             child: build(&node.children[0], db, stats, governed, shared, opts)?,
@@ -1467,30 +1451,20 @@ pub fn run_plan(plan: &PlanNode, db: &Database) -> Result<(ResultTable, ExecStat
     run_plan_opts(plan, db, &SharedRows::new(), ExecOptions::default())
 }
 
-/// [`run_plan`] with shared-subplan substitution: any node whose id
-/// appears in `shared` is executed as a cached-batch replay instead of
-/// its subtree (the subtree below it never builds or runs). The
-/// `aqks-equiv` shared-subplan DAG materializes each shared subtree
+/// [`run_plan`] with shared-subplan substitution and execution options.
+/// Any node whose id appears in `shared` runs as a cached-batch replay
+/// instead of its subtree (the subtree below it never builds or runs);
+/// the `aqks-equiv` shared-subplan DAG materializes each shared subtree
 /// once via [`materialize_batches`] and feeds the batches to every
-/// consumer through this entry point.
-pub fn run_plan_with_shared(
-    plan: &PlanNode,
-    db: &Database,
-    shared: &SharedRows,
-) -> Result<(ResultTable, ExecStats), ExecError> {
-    run_plan_opts(plan, db, shared, ExecOptions::default())
-}
-
-/// The fully-parameterized plan runner: shared-subplan substitution
-/// plus execution options (worker thread count). Results are identical
-/// at every `opts.threads` value; only the wall time changes.
+/// consumer through here. Results are identical at every `opts.threads`
+/// value; only the wall time changes.
 pub fn run_plan_opts(
     plan: &PlanNode,
     db: &Database,
     shared: &SharedRows,
     opts: ExecOptions,
 ) -> Result<(ResultTable, ExecStats), ExecError> {
-    let (batches, stats) = pull_batches(plan, db, shared, opts)?;
+    let (batches, stats) = materialize_batches(plan, db, shared, opts)?;
     let mut rows: Vec<Row> = Vec::new();
     for b in &batches {
         rows.extend(b.to_rows());
@@ -1503,49 +1477,13 @@ pub fn run_plan_opts(
     Ok((table, stats))
 }
 
-/// Executes a plan and returns its raw output rows, *without* the
-/// stabilizing sort or column naming of [`run_plan`] — kept for callers
-/// that want row-major output; shared-subtree materialization itself
-/// uses [`materialize_batches`] to stay columnar.
-pub fn materialize_plan(
-    plan: &PlanNode,
-    db: &Database,
-) -> Result<(Vec<Row>, ExecStats), ExecError> {
-    let (batches, stats) = pull_batches(plan, db, &SharedRows::new(), ExecOptions::default())?;
-    let mut rows = Vec::new();
-    for b in &batches {
-        rows.extend(b.to_rows());
-    }
-    Ok((rows, stats))
-}
-
-/// Executes a plan and returns its raw output *batches* in operator
-/// output order — the materialization primitive for shared subtrees,
-/// whose consumers replay the columnar storage without a row detour.
+/// Builds, opens and drains a plan, returning its raw output *batches*
+/// in operator output order (no stabilizing sort, no column naming) and
+/// the per-operator metrics — the materialization primitive for shared
+/// subtrees. Nodes whose ids appear in `shared` replay the supplied
+/// batches; because batches are `Arc`-shared column sets, a replay
+/// costs reference-count bumps per batch, independent of its row count.
 pub fn materialize_batches(
-    plan: &PlanNode,
-    db: &Database,
-    opts: ExecOptions,
-) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
-    pull_batches(plan, db, &SharedRows::new(), opts)
-}
-
-/// [`materialize_batches`] with shared-subtree replay: plan nodes whose
-/// ids appear in `shared` are replaced by cached-row replays of the
-/// supplied batches. Because batches are `Arc`-shared column sets, a
-/// replay costs reference-count bumps per batch — the per-consumer work
-/// is independent of the cached row count.
-pub fn materialize_shared(
-    plan: &PlanNode,
-    db: &Database,
-    shared: &SharedRows,
-    opts: ExecOptions,
-) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
-    pull_batches(plan, db, shared, opts)
-}
-
-/// Builds, opens and drains a plan, collecting all batches and metrics.
-fn pull_batches(
     plan: &PlanNode,
     db: &Database,
     shared: &SharedRows,
@@ -1635,7 +1573,7 @@ fn op_name(op: &PlanOp) -> &'static str {
 /// the plan run's `t0`: operators execute interleaved, so only the
 /// durations — not the offsets — are physical. A `threads` counter is
 /// added only when the operator actually went parallel, keeping
-/// sequential traces byte-identical to the pre-parallel executor.
+/// one-worker traces byte-identical to the pre-parallel executor.
 fn record_op_spans(
     rec: &aqks_obs::Recorder,
     node: &PlanNode,
@@ -1698,7 +1636,7 @@ pub(crate) fn aggregate<'a, I: Iterator<Item = &'a Value>>(
 mod tests {
     use super::*;
     use crate::ast::{ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
-    use crate::exec::{execute, execute_with_stats};
+    use crate::exec::execute;
     use crate::plan::plan;
     use aqks_relational::{AttrType, RelationSchema};
 
@@ -1751,14 +1689,14 @@ mod tests {
             ],
             ..Default::default()
         };
-        let (t, stats) = execute_with_stats(&stmt, &db).unwrap();
+        let p = plan(&stmt, &db).unwrap();
+        let (t, stats) = run_plan(&p, &db).unwrap();
         // Only (k1, 1) matches, twice on the right.
         assert_eq!(t.len(), 2, "{t}");
         for row in &t.rows {
             assert_eq!(row[0], Value::str("l1"));
         }
         // Both join keys were consumed by one multi-key hash join.
-        let p = plan(&stmt, &db).unwrap();
         let mut joins = 0;
         p.visit(&mut |n| {
             if let crate::plan::PlanOp::HashJoin { left_keys, .. } = &n.op {
@@ -1898,23 +1836,72 @@ mod tests {
         (db, stmt)
     }
 
-    /// The parallel paths (morsel scan, partitioned join build,
-    /// two-phase aggregate) produce byte-identical stabilized results
-    /// at every thread count, and the stats record where parallelism
+    /// The kernels (morsel scan, partitioned join build, two-phase
+    /// aggregate) produce byte-identical stabilized results at every
+    /// thread count, every operator emits the same rows in the same
+    /// number of batches, and the stats record where parallelism
     /// applied.
     #[test]
     fn parallel_execution_matches_sequential() {
         let (db, stmt) = join_fixture(6000);
         let p = plan(&stmt, &db).unwrap();
-        let (reference, _) = run_plan(&p, &db).unwrap();
+        let (reference, ref_stats) = run_plan(&p, &db).unwrap();
+        let shape =
+            |s: &ExecStats| s.ops.iter().map(|m| (m.rows_out, m.batches)).collect::<Vec<_>>();
         for threads in [2, 4, 8] {
             let (t, stats) =
                 run_plan_opts(&p, &db, &SharedRows::new(), ExecOptions::with_threads(threads))
                     .unwrap();
             assert_eq!(t.rows, reference.rows, "threads={threads}");
+            assert_eq!(shape(&stats), shape(&ref_stats), "(rows_out, batches) at {threads}");
             assert!(stats.max_threads() > 1, "parallel sections ran at threads={threads}");
             assert!(stats.parallel_ops() >= 1);
         }
+    }
+
+    /// A cross join emits its product in bounded windows, not one batch
+    /// per left batch, so no single batch outgrows a row budget's reach.
+    #[test]
+    fn cross_join_output_batches_are_bounded() {
+        let mut db = Database::new("t");
+        for name in ["A", "B"] {
+            let mut s = RelationSchema::new(name);
+            s.add_attr("X", AttrType::Int);
+            db.add_relation(s).unwrap();
+            for i in 0..2000i64 {
+                db.insert(name, vec![Value::Int(i)]).unwrap();
+            }
+        }
+        let stmt = SelectStatement {
+            items: vec![SelectItem::Aggregate {
+                func: AggFunc::Count,
+                arg: col("A", "X"),
+                distinct: false,
+                alias: "n".into(),
+            }],
+            from: vec![
+                TableExpr::Relation { name: "A".into(), alias: "A".into() },
+                TableExpr::Relation { name: "B".into(), alias: "B".into() },
+            ],
+            ..Default::default()
+        };
+        let p = plan(&stmt, &db).unwrap();
+        let (t, stats) = run_plan(&p, &db).unwrap();
+        assert_eq!(t.scalar(), Some(&Value::Int(4_000_000)));
+        let mut cross = None;
+        p.visit(&mut |n| {
+            if matches!(n.op, PlanOp::CrossJoin) {
+                cross = Some(&stats.ops[n.id]);
+            }
+        });
+        let m = cross.expect("plan has a cross join");
+        assert_eq!(m.rows_out, 4_000_000);
+        assert!(
+            m.rows_out <= m.batches * MORSEL_SIZE as u64,
+            "{} rows in {} batches",
+            m.rows_out,
+            m.batches
+        );
     }
 
     /// The two-phase aggregate preserves group order, float summation

@@ -37,18 +37,15 @@ static PAR_TASKS: LabeledCounter = LabeledCounter::new("aqks_par_tasks", "site")
 /// Worker-pool launches that actually took the parallel path.
 static PAR_POOLS: Counter = Counter::new("aqks_par_pools");
 
-/// Rows per parallel work unit handed to a worker at a time.
-pub(crate) const MORSEL_SIZE: usize = 2048;
-
-/// Inputs smaller than this stay on the sequential path even when more
-/// threads are available — below it, pool overhead exceeds the win.
+/// Inputs smaller than this run on one worker even when more threads
+/// are available — below it, pool overhead exceeds the win.
 pub(crate) const PAR_THRESHOLD: usize = 4096;
 
 /// Knobs controlling how a plan is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Worker threads for parallel operator sections. `1` (the default)
-    /// selects the exact sequential legacy code paths.
+    /// runs the same operator kernels inline on the plan's thread.
     pub threads: usize,
 }
 
@@ -71,9 +68,19 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Workers an operator uses over `n` input rows: `threads`, or 1 below
+/// [`PAR_THRESHOLD`].
+pub(crate) fn workers(threads: usize, n: usize) -> usize {
+    if n >= PAR_THRESHOLD {
+        threads.max(1)
+    } else {
+        1
+    }
+}
+
 /// Runs `n` independent tasks on up to `threads` workers and returns
 /// their results in task order. Errors are deterministic: the
-/// lowest-index failing task wins, matching what a sequential run would
+/// lowest-index failing task wins, matching what a one-worker run would
 /// report first.
 pub(crate) fn run_tasks<T, F>(
     threads: usize,
@@ -88,7 +95,7 @@ where
     let gov = aqks_guard::current();
     let workers = threads.min(n).max(1);
     if workers <= 1 {
-        // Inline path: no pool, no spans — identical to pre-parallel code.
+        // Inline path: no pool, no spans — the one-worker executor.
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             if let Some(g) = &gov {

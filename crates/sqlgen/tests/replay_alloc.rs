@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use aqks_relational::{AttrType, Database, RelationSchema, Value};
 use aqks_sqlgen::{
-    materialize_shared, plan, ColumnBatch, ColumnRef, ExecOptions, SelectItem, SelectStatement,
+    materialize_batches, plan, ColumnBatch, ColumnRef, ExecOptions, SelectItem, SelectStatement,
     SharedRows, TableExpr,
 };
 
@@ -88,7 +88,7 @@ fn cached_replay_allocations_are_independent_of_row_count() {
 
     // Warm-up consumer: first-touch lazy state must not pollute counts.
     let (warm, _) =
-        materialize_shared(&p, &db, &shared, ExecOptions::default()).expect("replay runs");
+        materialize_batches(&p, &db, &shared, ExecOptions::default()).expect("replay runs");
     assert_eq!(warm.iter().map(ColumnBatch::len).sum::<usize>(), BATCHES * BATCH);
     assert!(
         Arc::ptr_eq(&warm[0].column_arc(0), &cached[0].column_arc(0)),
@@ -103,7 +103,7 @@ fn cached_replay_allocations_are_independent_of_row_count() {
     for consumer in 0..8 {
         TRACKING.with(|t| t.set(true));
         let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let out = materialize_shared(&p, &db, &shared, ExecOptions::default());
+        let out = materialize_batches(&p, &db, &shared, ExecOptions::default());
         let used = ALLOCATIONS.load(Ordering::SeqCst) - before;
         TRACKING.with(|t| t.set(false));
         let (batches, _) = out.expect("replay runs");

@@ -16,14 +16,15 @@ use aqks::datasets::{
 };
 use aqks::relational::{AttrType, Database, RelationSchema, Value};
 use aqks::sqlgen::{
-    execute, execute_with_opts, AggFunc, ColumnRef, ExecOptions, Predicate, SelectItem,
-    SelectStatement, TableExpr,
+    execute, plan, run_plan_opts, AggFunc, ColumnRef, ExecOptions, Predicate, SelectItem,
+    SelectStatement, SharedRows, TableExpr,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Renders every answer of one engine run to a single comparable string:
-/// SQL text, stabilized result table, and executor stats summary.
+/// SQL text, stabilized result table, and executor stats summary (each
+/// operator's `rows_out/batches`, in plan-node order).
 fn rendered_answers(engine: &Engine, query: &str, k: usize) -> String {
     let answers = engine.answer(query, k).unwrap_or_else(|e| panic!("`{query}`: {e}"));
     let mut out = String::new();
@@ -31,6 +32,10 @@ fn rendered_answers(engine: &Engine, query: &str, k: usize) -> String {
         out.push_str(&a.sql_text);
         out.push('\n');
         out.push_str(&format!("{}\n", a.result));
+        for m in &a.stats.ops {
+            out.push_str(&format!("{}/{} ", m.rows_out, m.batches));
+        }
+        out.push('\n');
     }
     out
 }
@@ -191,8 +196,9 @@ fn random_plans_execute_identically_sequential_and_parallel() {
         let stmt = arb_stmt(&mut rng);
         let sequential = execute(&stmt, &db).expect("sequential run");
         for threads in [2, 8] {
+            let p = plan(&stmt, &db).expect("plan builds");
             let (parallel, stats) =
-                execute_with_opts(&stmt, &db, ExecOptions::with_threads(threads))
+                run_plan_opts(&p, &db, &SharedRows::new(), ExecOptions::with_threads(threads))
                     .expect("parallel run");
             assert_eq!(
                 sequential, parallel,
