@@ -10,20 +10,6 @@
 //!   rows of Tables 5, 6 (normalized) and 8, 9 (unnormalized);
 //! * [`fig11`] — times SQL *generation* (not execution) for both engines,
 //!   reproducing Figure 11's two series;
-//! * [`execbench`] — times plan *execution* through the physical-operator
-//!   pipeline, per query and per operator, writing `BENCH_exec.json`;
-//! * [`equivbench`] — measures the duplicate work `aqks-equiv` removes
-//!   from the workloads (equivalence classes, shared subtrees, and the
-//!   executed-rows reduction of deduplicated shared execution), writing
-//!   `BENCH_equiv.json`;
-//! * [`obsbench`] — measures the end-to-end cost of the always-on
-//!   metrics subsystem with interleaved enabled/disabled repetitions
-//!   and pins the disabled recording path's zero-allocation contract,
-//!   writing `BENCH_obs.json`;
-//! * [`servebench`] — drives the `aqks-server` query service with a
-//!   closed-loop Zipf-mixed load (and, on failpoints builds, a chaos
-//!   sweep over the server's fault-injection sites), writing
-//!   throughput, p50/p99 latency, and shed rate to `BENCH_serve.json`;
 //! * [`analysis`] — runs the `aqks-analyze` static analyzer over every
 //!   statement both engines generate for the workloads: the paper engine
 //!   must come back with zero error findings, SQAK trips `AQ-P5` where
@@ -31,13 +17,20 @@
 //! * [`plans`] — runs the `aqks-plancheck` physical-plan verifier over
 //!   every plan the engine produces for the workloads (100% must verify
 //!   clean) and checks the plan-fingerprint determinism/injectivity
-//!   contract that plan caching will rely on.
+//!   contract that plan caching will rely on;
+//! * `faults` (`failpoints` builds only) — arms every fault-injection
+//!   site and checks that each fault surfaces typed and the engine
+//!   recovers.
+//!
+//! Executor, server and metrics-overhead timings are not measured here:
+//! the benchmark in `perfbench/` measures them end to end, layer by
+//! layer.
 //!
 //! The `repro` binary drives everything:
 //!
 //! ```text
-//! repro table5 | table6 | table8 | table9 | fig11 | all [--paper-scale]
-//! repro exec-bench [--smoke] [--out FILE] [--reps N]
+//! repro table5|table6|table8|table9|fig11|plans|all [--paper-scale] [--reps N]
+//! repro faults       # fault-injection sweep; needs --features failpoints
 //! ```
 //!
 //! `--paper-scale` switches from the fast test-sized datasets to
@@ -45,14 +38,10 @@
 //! 36 SIGMOD proceedings, …).
 
 pub mod analysis;
-pub mod equivbench;
-pub mod execbench;
 #[cfg(feature = "failpoints")]
 pub mod faults;
 pub mod fig11;
-pub mod obsbench;
 pub mod plans;
-pub mod servebench;
 pub mod tables;
 #[cfg(test)]
 mod tests;
@@ -60,17 +49,10 @@ pub mod timing;
 pub mod workload;
 
 pub use analysis::{analyze_workload, run_analysis, AnalysisRow, PlanVerdict};
-pub use equivbench::{run_equiv_bench, WorkloadEquivBench};
-pub use execbench::{
-    run_exec_bench, run_thread_sweep, OpBenchRow, QueryExecBench, SweepPoint, ThreadSweep,
-    ThreadSweepRow,
-};
 #[cfg(feature = "failpoints")]
 pub use faults::{run_fault_sweep, FaultOutcome};
 pub use fig11::{run_fig11, TimingRow};
-pub use obsbench::{run_obs_bench, ObsBench, QueryObsBench};
 pub use plans::{run_plan_sweep, verify_workload_plans, PlanCheckRow, PlanSweep};
-pub use servebench::{run_serve_bench, ChaosSummary, LoadConfig, ServeBench};
 pub use tables::{run_table5, run_table6, run_table8, run_table9, ComparisonRow, EngineOutcome};
 pub use timing::TimingSummary;
 pub use workload::{acmdl_queries, tpch_queries, EvalQuery, Scale};

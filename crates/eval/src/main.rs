@@ -4,10 +4,6 @@
 //!
 //! ```text
 //! repro table5|table6|table8|table9|fig11|plans|all [--paper-scale] [--reps N]
-//! repro exec-bench [--smoke] [--out FILE] [--reps N] [--threads N]
-//! repro equiv-bench [--smoke] [--out FILE] [--k N]
-//! repro obs-bench [--smoke] [--out FILE] [--reps N]
-//! repro serve-bench [--smoke] [--out FILE] [--clients N] [--requests N] [--workers N] [--chaos]
 //! repro faults       # fault-injection sweep; needs --features failpoints
 //! ```
 //!
@@ -15,130 +11,59 @@
 //! of every bundled workload query is planned, verified with
 //! `aqks-plancheck`, and fingerprinted. Exits non-zero on any rejection.
 //!
-//! `exec-bench` plans and executes the T1–T8 / A1–A8 workloads through
-//! the physical-operator pipeline and writes per-query and per-operator
-//! timings to `BENCH_exec.json` (override with `--out`); `--smoke` uses
-//! 3 repetitions for a fast CI regression check. `--threads N` (N > 1)
-//! additionally sweeps the TPC-H' aggregate workload over power-of-two
-//! executor thread counts up to N, verifies every thread count produces
-//! byte-identical stabilized results, and records the scaling under
-//! `threads_sweep` in the JSON. Exits non-zero if any workload query
-//! fails to plan or execute, or if any thread count diverges.
-//!
-//! `equiv-bench` plans the top-k interpretations of every workload query
-//! (with and without predicate pushdown), partitions the plans into
-//! semantic equivalence classes with `aqks-equiv`, executes the
-//! deduplicated shared-subplan set, and writes the class/sharing/rows
-//! statistics to `BENCH_equiv.json` (override with `--out`). Exits
-//! non-zero on any planning or differential-execution failure, when the
-//! multi-interpretation TPC-H' workload yields no nontrivial
-//! equivalence class, or when shared execution fails to move fewer rows
-//! than the per-plan baseline.
-//!
-//! `obs-bench` answers the TPC-H' aggregate workload with the always-on
-//! metrics registry disabled and enabled (interleaved A/B repetitions)
-//! and writes the per-query and median overhead to `BENCH_obs.json`.
-//! Exits non-zero when the median overhead exceeds 3% (5% under
-//! `--smoke`, whose short runs are noisier) or when the disabled
-//! recording path allocates — this binary installs a counting global
-//! allocator so the zero-allocation contract is checked for real.
-//!
-//! `serve-bench` starts the `aqks-server` query service in-process and
-//! drives it with `--clients` closed-loop threads issuing `--requests`
-//! Zipf-mixed queries each against `--workers` server workers, writing
-//! throughput, exact p50/p99 latency, and shed rate to
-//! `BENCH_serve.json`. The load is trivial by construction, so the run
-//! *fails* on any protocol error or nonzero shed count — admission
-//! control firing at this load means the service regressed. `--chaos`
-//! (failpoints builds) additionally arms each server-side failpoint and
-//! verifies every injected fault surfaces as a typed wire error while
-//! the server keeps serving.
+//! A malformed command line — an unknown flag or target, a second
+//! target, or `--reps` without a positive whole number — exits 2 with a
+//! message. Executor, server and metrics-overhead timings live in the
+//! benchmark (`perfbench/`).
 
-use aqks_eval::{execbench, fig11, obsbench, tables, Scale};
+use aqks_eval::{fig11, tables, Scale};
 
-/// Global allocator that feeds the `obs-bench` allocation probe: one
-/// relaxed atomic load per allocation while the probe is disarmed —
-/// unmeasurable next to the allocation itself.
-struct ProbeAlloc;
+const USAGE: &str =
+    "usage: repro table5|table6|table8|table9|fig11|plans|all|faults [--paper-scale] [--reps N]";
 
-unsafe impl std::alloc::GlobalAlloc for ProbeAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        obsbench::probe_alloc();
-        unsafe { std::alloc::System.alloc(layout) }
-    }
+const TARGETS: [&str; 8] =
+    ["table5", "table6", "table8", "table9", "fig11", "plans", "all", "faults"];
 
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
+struct Args {
+    what: String,
+    scale: Scale,
+    reps: usize,
 }
 
-#[global_allocator]
-static GLOBAL: ProbeAlloc = ProbeAlloc;
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args { what: String::new(), scale: Scale::Small, reps: 21 };
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--paper-scale" => args.scale = Scale::Paper,
+            "--reps" => {
+                args.reps = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or("`--reps` takes a positive whole number")?;
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            target if !TARGETS.contains(&target) => {
+                return Err(format!("unknown target `{target}`"))
+            }
+            target if !args.what.is_empty() => {
+                return Err(format!("one target at a time: `{}` and `{target}`", args.what))
+            }
+            target => args.what = target.to_string(),
+        }
+    }
+    if args.what.is_empty() {
+        args.what = "all".to_string();
+    }
+    Ok(args)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--paper-scale") { Scale::Paper } else { Scale::Small };
-    let mut reps = 21usize;
-    let mut k = 3usize;
-    let mut threads = 1usize;
-    let mut smoke = false;
-    let mut chaos = false;
-    let mut clients = 4usize;
-    let mut requests = 50usize;
-    let mut workers = 4usize;
-    let mut out_file: Option<String> = None;
-    let mut what = "all".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--paper-scale" => {}
-            "--smoke" => smoke = true,
-            "--chaos" => chaos = true,
-            "--clients" => {
-                i += 1;
-                clients = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(4);
-            }
-            "--requests" => {
-                i += 1;
-                requests = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(50);
-            }
-            "--workers" => {
-                i += 1;
-                workers = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(4);
-            }
-            "--out" => {
-                i += 1;
-                out_file = match args.get(i) {
-                    Some(v) => Some(v.to_string()),
-                    None => {
-                        eprintln!("--out needs a file name");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--reps" => {
-                i += 1;
-                reps = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(21);
-            }
-            "--k" => {
-                i += 1;
-                k = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(3);
-            }
-            "--threads" => {
-                i += 1;
-                threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(1);
-            }
-            other if !other.starts_with("--") => what = other.to_string(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if smoke {
-        reps = reps.min(3);
-    }
+    let Args { what, scale, reps } = parse_args().unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     if what == "faults" {
         #[cfg(feature = "failpoints")]
@@ -158,248 +83,6 @@ fn main() {
             eprintln!("`repro faults` needs the fault-injection build: cargo run -p aqks-eval --features failpoints --bin repro -- faults");
             std::process::exit(2);
         }
-    }
-
-    if what == "serve-bench" {
-        if smoke {
-            clients = clients.min(2);
-            requests = requests.min(10);
-        }
-        let cfg =
-            aqks_eval::servebench::LoadConfig { clients, requests_per_client: requests, workers };
-        let bench = aqks_eval::servebench::run_serve_bench(&cfg);
-        eprintln!(
-            "serve-bench: {} client(s) x {} request(s), {} worker(s): {:.1} req/s, p50 {:.0}µs, p99 {:.0}µs",
-            bench.clients,
-            bench.requests_per_client,
-            bench.workers,
-            bench.throughput_rps,
-            bench.p50_us,
-            bench.p99_us
-        );
-        eprintln!(
-            "serve-bench: ok {}, degraded {}, server errors {}, protocol errors {}, shed rate {:.4}",
-            bench.ok, bench.degraded, bench.server_errors, bench.protocol_errors, bench.shed_rate
-        );
-        let mut failed = false;
-        if bench.protocol_errors > 0 {
-            eprintln!("FAILED: {} protocol error(s) under trivial load", bench.protocol_errors);
-            failed = true;
-        }
-        if bench.server_errors > 0 {
-            eprintln!("FAILED: {} typed server error(s) under trivial load", bench.server_errors);
-            failed = true;
-        }
-        if bench.stats.shed() > 0 {
-            eprintln!(
-                "FAILED: admission control shed {} request(s) at trivial load",
-                bench.stats.shed()
-            );
-            failed = true;
-        }
-        let chaos_summary = if chaos {
-            #[cfg(feature = "failpoints")]
-            {
-                let summary = aqks_eval::servebench::run_chaos_sweep();
-                eprintln!(
-                    "serve-bench chaos: {}/{} site(s) typed, {}/{} recovered",
-                    summary.typed_errors, summary.sites, summary.recoveries, summary.sites
-                );
-                if !summary.passed() {
-                    eprintln!("FAILED: chaos sweep");
-                    failed = true;
-                }
-                Some(summary)
-            }
-            #[cfg(not(feature = "failpoints"))]
-            {
-                eprintln!("`--chaos` needs the fault-injection build: cargo run -p aqks-eval --features failpoints --bin repro -- serve-bench --chaos");
-                std::process::exit(2);
-            }
-        } else {
-            None
-        };
-        let out = out_file.unwrap_or_else(|| "BENCH_serve.json".to_string());
-        let json = aqks_eval::servebench::render_json(&bench, chaos_summary.as_ref());
-        if let Err(e) = std::fs::write(&out, &json) {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {out}");
-        if failed {
-            eprintln!("serve-bench failed");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if what == "equiv-bench" {
-        let rows = aqks_eval::equivbench::run_equiv_bench(scale, k);
-        let mut failed = false;
-        for r in &rows {
-            eprintln!(
-                "{}: {} plan(s) -> {} class(es) ({} nontrivial, {} duplicate(s)), {} shared subtree(s), rows {} -> {} (saved {})",
-                r.workload,
-                r.plans,
-                r.classes,
-                r.nontrivial_classes,
-                r.duplicates,
-                r.shared_subtrees,
-                r.baseline_rows,
-                r.shared_rows,
-                r.rows_saved()
-            );
-            for e in &r.errors {
-                eprintln!("  FAILED: {e}");
-                failed = true;
-            }
-        }
-        // The dedup machinery must demonstrably pay for itself: the
-        // multi-interpretation TPC-H' workload has to collapse at least
-        // one pair of plans, and sharing has to move fewer rows
-        // somewhere — silent no-ops would make the analysis decorative.
-        if !rows.iter().any(|r| r.workload == "tpch-prime" && r.nontrivial_classes >= 1) {
-            eprintln!("FAILED: no nontrivial equivalence class on tpch-prime");
-            failed = true;
-        }
-        if !rows.iter().any(|r| r.shared_subtrees >= 1 && r.shared_rows < r.baseline_rows) {
-            eprintln!("FAILED: no workload saved rows through shared execution");
-            failed = true;
-        }
-        let out = out_file.unwrap_or_else(|| "BENCH_equiv.json".to_string());
-        let json = aqks_eval::equivbench::render_json(&rows, scale, k);
-        if let Err(e) = std::fs::write(&out, &json) {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {out} ({} workloads)", rows.len());
-        if failed {
-            eprintln!("equiv-bench failed");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if what == "obs-bench" {
-        let bench = obsbench::run_obs_bench(reps);
-        let mut failed = false;
-        for r in &bench.rows {
-            match &r.error {
-                Some(e) => {
-                    eprintln!("tpch-prime/{}: FAILED: {e}", r.id);
-                    failed = true;
-                }
-                None => eprintln!(
-                    "tpch-prime/{}: disabled {:.0}µs, enabled {:.0}µs ({:+.2}%)",
-                    r.id, r.disabled.median_us, r.enabled.median_us, r.overhead_pct
-                ),
-            }
-        }
-        // Short smoke runs are noisier; the full run holds the paper
-        // contract of < 3% median overhead.
-        let cap = if smoke { 5.0 } else { 3.0 };
-        eprintln!(
-            "obs-bench: median overhead {:+.2}% (cap {cap}%), flight retained {}",
-            bench.median_overhead_pct, bench.flight_retained
-        );
-        if bench.median_overhead_pct > cap {
-            eprintln!(
-                "FAILED: enabled-metrics overhead {:.2}% > {cap}%",
-                bench.median_overhead_pct
-            );
-            failed = true;
-        }
-        match bench.disabled_path_allocations {
-            Some(0) => eprintln!("obs-bench: disabled recording path allocated nothing"),
-            Some(n) => {
-                eprintln!("FAILED: disabled recording path allocated {n} time(s)");
-                failed = true;
-            }
-            None => {
-                eprintln!("FAILED: allocation probe not installed");
-                failed = true;
-            }
-        }
-        let out = out_file.unwrap_or_else(|| "BENCH_obs.json".to_string());
-        let json = obsbench::render_json(&bench);
-        if let Err(e) = std::fs::write(&out, &json) {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {out} ({} queries)", bench.rows.len());
-        if failed {
-            eprintln!("obs-bench failed");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if what == "exec-bench" {
-        let rows = execbench::run_exec_bench(scale, reps);
-        let failures: Vec<&execbench::QueryExecBench> =
-            rows.iter().filter(|r| r.error.is_some()).collect();
-        for r in &rows {
-            match &r.error {
-                Some(e) => eprintln!("{}/{}: FAILED: {e}", r.workload, r.id),
-                None => eprintln!(
-                    "{}/{}: {:.1}/{:.1}/{:.1} µs (min/med/p95), {} row(s), {} operator(s)",
-                    r.workload,
-                    r.id,
-                    r.wall.min_us,
-                    r.wall.median_us,
-                    r.wall.p95_us,
-                    r.result_rows,
-                    r.ops.len()
-                ),
-            }
-        }
-        let mut sweep_failed = false;
-        let sweep = (threads > 1).then(|| {
-            let sweep = execbench::run_thread_sweep(threads, reps);
-            for r in &sweep.rows {
-                match &r.error {
-                    Some(e) => {
-                        eprintln!("tpch-prime/{}: SWEEP FAILED: {e}", r.id);
-                        sweep_failed = true;
-                    }
-                    None => {
-                        let walls: Vec<String> = r
-                            .points
-                            .iter()
-                            .map(|p| format!("{}t={:.0}µs", p.threads, p.wall.median_us))
-                            .collect();
-                        eprintln!(
-                            "tpch-prime/{}: {} (speedup x{:.2}, {} row(s))",
-                            r.id,
-                            walls.join(" "),
-                            r.speedup,
-                            r.result_rows
-                        );
-                    }
-                }
-            }
-            eprintln!(
-                "threads sweep: median speedup x{:.2} at {} thread(s) ({} host cpu(s))",
-                sweep.median_speedup, threads, sweep.host_cpus
-            );
-            sweep
-        });
-        let out = out_file.unwrap_or_else(|| "BENCH_exec.json".to_string());
-        let json = execbench::render_json(&rows, scale, reps, sweep.as_ref());
-        if let Err(e) = std::fs::write(&out, &json) {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {out} ({} queries)", rows.len());
-        if !failures.is_empty() {
-            eprintln!("exec-bench failed for {} quer(y/ies)", failures.len());
-            std::process::exit(1);
-        }
-        if sweep_failed {
-            eprintln!("exec-bench threads sweep failed");
-            std::process::exit(1);
-        }
-        return;
     }
 
     let scale_name = match scale {
@@ -465,10 +148,7 @@ fn main() {
             let total: usize = sweeps.iter().map(|s| s.plans()).sum();
             eprintln!("plan sweep passed: {total} plan(s) verified clean");
         }
-        other => {
-            eprintln!("unknown target `{other}`; use table5|table6|table8|table9|fig11|plans|all");
-            std::process::exit(2);
-        }
+        other => unreachable!("target `{other}` passed argument parsing"),
     };
 
     if what == "all" {

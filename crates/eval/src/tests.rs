@@ -77,70 +77,6 @@ fn every_answer_phase_traced_once_per_workload_query() {
     }
 }
 
-/// The exec benchmark attributes wall time to every pipeline phase and
-/// serializes the breakdown into `BENCH_exec.json`.
-#[test]
-fn exec_bench_reports_phase_breakdowns() {
-    let rows = crate::execbench::run_exec_bench(Scale::Small, 2);
-    assert_eq!(rows.len(), 16);
-    let ok: Vec<_> = rows.iter().filter(|r| r.error.is_none()).collect();
-    assert!(ok.len() >= 12, "{rows:?}");
-    for r in &ok {
-        assert!(r.wall.min_us <= r.wall.median_us && r.wall.median_us <= r.wall.p95_us);
-        let names: Vec<&str> = r.phases.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, crate::execbench::PHASES.to_vec(), "{}/{}", r.workload, r.id);
-        let exec_us = r.phases.iter().find(|(n, _)| n == "exec").unwrap().1;
-        assert!(exec_us > 0.0, "{}/{}", r.workload, r.id);
-    }
-    let json = crate::execbench::render_json(&rows, Scale::Small, 2, None);
-    aqks_obs::json::validate(&json).expect("BENCH_exec.json is well-formed");
-    assert!(json.contains("\"phases_us\""), "{json}");
-    assert!(json.contains("\"wall_p95_us\""), "{json}");
-    assert!(!json.contains("\"threads_sweep\""), "no sweep section without --threads: {json}");
-}
-
-/// The thread sweep serializes into a well-formed `threads_sweep`
-/// section with per-thread-count wall times and the speedup summary.
-#[test]
-fn thread_sweep_json_is_well_formed() {
-    use crate::execbench::{SweepPoint, ThreadSweep, ThreadSweepRow};
-    use crate::timing::TimingSummary;
-    assert_eq!(crate::execbench::thread_counts(1), vec![1]);
-    assert_eq!(crate::execbench::thread_counts(4), vec![1, 2, 4]);
-    assert_eq!(crate::execbench::thread_counts(6), vec![1, 2, 4, 6]);
-    let sweep = ThreadSweep {
-        threads: vec![1, 2],
-        host_cpus: 1,
-        rows: vec![
-            ThreadSweepRow {
-                id: "T1",
-                sql: "SELECT 1".into(),
-                result_rows: 3,
-                points: vec![
-                    SweepPoint { threads: 1, wall: TimingSummary::from_samples(&[10.0]) },
-                    SweepPoint { threads: 2, wall: TimingSummary::from_samples(&[5.0]) },
-                ],
-                speedup: 2.0,
-                error: None,
-            },
-            ThreadSweepRow {
-                id: "T2",
-                sql: String::new(),
-                result_rows: 0,
-                points: Vec::new(),
-                speedup: 0.0,
-                error: Some("result at threads=2 diverges from threads=1".into()),
-            },
-        ],
-        median_speedup: 2.0,
-    };
-    let json = crate::execbench::render_json(&[], Scale::Small, 2, Some(&sweep));
-    aqks_obs::json::validate(&json).expect("threads_sweep JSON is well-formed");
-    for key in ["\"threads_sweep\"", "\"host_cpus\"", "\"median_speedup\"", "diverges"] {
-        assert!(json.contains(key), "missing {key}: {json}");
-    }
-}
-
 #[test]
 fn outcome_cell_truncates_long_answer_lists() {
     use crate::tables::EngineOutcome;

@@ -1,10 +1,10 @@
-//! Timing summaries for the benchmark harnesses.
+//! Timing summaries for Figure 11.
 //!
-//! Both `fig11` and `execbench` repeat work and need a noise-aware
-//! summary: the minimum (the least-disturbed run), the median (the
-//! robust central estimate the paper-style tables report), and the 95th
-//! percentile (tail latency). A bare mean would let one scheduler
-//! hiccup shift every reported number.
+//! `fig11` repeats work and needs a noise-aware summary: the minimum
+//! (the least-disturbed run), the median (the robust central estimate
+//! the paper-style tables report), and the 95th percentile (tail
+//! latency). A bare mean would let one scheduler hiccup shift every
+//! reported number.
 
 use std::time::Instant;
 
@@ -20,11 +20,6 @@ pub struct TimingSummary {
 }
 
 impl TimingSummary {
-    /// A zero summary, for failed queries.
-    pub fn zero() -> TimingSummary {
-        TimingSummary { min_us: 0.0, median_us: 0.0, p95_us: 0.0 }
-    }
-
     /// Summarizes raw samples (microseconds). Panics on an empty slice.
     pub fn from_samples(samples: &[f64]) -> TimingSummary {
         assert!(!samples.is_empty(), "no timing samples");

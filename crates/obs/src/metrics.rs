@@ -26,8 +26,9 @@
 //!
 //! The process-wide registry lives behind [`global`] and starts
 //! **enabled** — the pipeline is instrumented unconditionally and the
-//! overhead budget (<3% median on the TPC-H′ workload, measured by
-//! `repro obs-bench`) is part of the contract.
+//! overhead budget is part of the contract: the benchmark's traced
+//! `exec-large` run over paper-scale TPC-H′ reports it as
+//! `obs.overhead_pct`, and CI fails above 5%.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

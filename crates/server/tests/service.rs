@@ -250,3 +250,48 @@ fn connection_limit_refuses_politely() {
     assert_eq!(server.stats().refused, 1);
     server.shutdown();
 }
+
+/// Closed-loop load at a trivial level: 2 client threads each send 5
+/// queries of the university mix to 2 workers. Admission control must
+/// not fire, and every request must come back answered.
+#[test]
+fn trivial_load_runs_clean() {
+    const MIX: [&str; 4] = [
+        "Green SUM Credit",
+        "Java SUM Price",
+        "COUNT Lecturer GROUPBY Course",
+        "Green George COUNT Code",
+    ];
+    let server = start(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let addr = server.addr();
+    let clients: Vec<_> = (0..2)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, ClientConfig::default());
+                let (mut ok, mut server_errors, mut protocol_errors) = (0, 0, 0);
+                for step in 0..5 {
+                    let mut req = Request::new(MIX[(c + step) % MIX.len()]);
+                    req.k = 1;
+                    match client.query(&req) {
+                        Ok(_) => ok += 1,
+                        Err(ClientError::Server(_)) => server_errors += 1,
+                        Err(_) => protocol_errors += 1,
+                    }
+                }
+                client.quit();
+                (ok, server_errors, protocol_errors)
+            })
+        })
+        .collect();
+    let (mut ok, mut server_errors, mut protocol_errors) = (0, 0, 0);
+    for h in clients {
+        let (o, s, p) = h.join().expect("client thread panicked");
+        (ok, server_errors, protocol_errors) = (ok + o, server_errors + s, protocol_errors + p);
+    }
+    let stats = server.stats();
+    server.shutdown();
+    assert_eq!(ok, 10);
+    assert_eq!(protocol_errors, 0, "protocol errors at trivial load");
+    assert_eq!(server_errors, 0, "typed server errors at trivial load");
+    assert_eq!(stats.shed(), 0, "admission control shed at trivial load");
+}

@@ -6,7 +6,7 @@
 
 use aqks::core::Engine;
 use aqks::datasets::university;
-use aqks::equiv::{analyze, canonicalize};
+use aqks::equiv::{analyze, canonicalize, run_shared, shared_set};
 use aqks::plancheck::verify;
 use aqks::relational::{AttrType, Database, RelationSchema, Value};
 use aqks::sqlgen::ast::OrderKey;
@@ -33,7 +33,9 @@ fn workload_plans(db: &Database, queries: &[&str], k: usize) -> Vec<PlanNode> {
 }
 
 /// Analyzes the workload's plan set and checks that every member of
-/// every equivalence class executes to its classmates' table.
+/// every equivalence class executes to its classmates' table, and that
+/// the deduplicated shared-subplan run returns each class that same
+/// table.
 fn assert_classes_are_behavioral(db: &Database, queries: &[&str], workload: &str) {
     let plans = workload_plans(db, queries, 2);
     let analysis = analyze(&plans, db)
@@ -42,18 +44,19 @@ fn assert_classes_are_behavioral(db: &Database, queries: &[&str], workload: &str
         analysis.nontrivial_classes() >= 1,
         "{workload}: pushdown variants produced no duplicates"
     );
-    for (ci, class) in analysis.classes.iter().enumerate() {
-        let mut reference: Option<Vec<Vec<Value>>> = None;
+    let shared = run_shared(&shared_set(&analysis), db)
+        .unwrap_or_else(|e| panic!("{workload}: shared execution fails: {e}"));
+    assert_eq!(shared.tables.len(), analysis.classes.len(), "{workload}: one table per class");
+    for (ci, (class, table)) in analysis.classes.iter().zip(shared.tables).enumerate() {
+        let reference = table.sorted().rows;
         for &m in &class.members {
             let (table, _) = run_plan(&plans[m], db)
                 .unwrap_or_else(|e| panic!("{workload}: plan {m} fails to execute: {e}"));
-            let rows = table.sorted().rows;
-            match &reference {
-                None => reference = Some(rows),
-                Some(r) => {
-                    assert_eq!(r, &rows, "{workload}: class {ci} members disagree (member {m})")
-                }
-            }
+            assert_eq!(
+                reference,
+                table.sorted().rows,
+                "{workload}: class {ci} member {m} disagrees with the class's shared run"
+            );
         }
     }
 }

@@ -24,30 +24,39 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Renders every answer of one engine run to a single comparable string:
 /// SQL text, stabilized result table, and executor stats summary (each
-/// operator's `rows_out/batches`, in plan-node order).
-fn rendered_answers(engine: &Engine, query: &str, k: usize) -> String {
+/// operator's `rows_out/batches`, in plan-node order). Also returns how
+/// many operators ran on more than one worker.
+fn rendered_answers(engine: &Engine, query: &str, k: usize) -> (String, usize) {
     let answers = engine.answer(query, k).unwrap_or_else(|e| panic!("`{query}`: {e}"));
     let mut out = String::new();
+    let mut parallel_ops = 0;
     for a in &answers {
         out.push_str(&a.sql_text);
         out.push('\n');
         out.push_str(&format!("{}\n", a.result));
         for m in &a.stats.ops {
             out.push_str(&format!("{}/{} ", m.rows_out, m.batches));
+            parallel_ops += usize::from(m.threads > 1);
         }
         out.push('\n');
     }
-    out
+    (out, parallel_ops)
 }
 
-fn assert_workload_deterministic(db: Database, queries: &[&str], label: &str) {
+/// Answers `queries` at every thread count and asserts each run equals
+/// the single-threaded one. Returns the fewest operators that ran on
+/// more than one worker in any multi-threaded pass over the queries.
+fn assert_workload_deterministic(db: Database, queries: &[&str], label: &str) -> usize {
     let mut engine = Engine::new(db).expect("engine builds");
     let mut baseline: Vec<String> = Vec::new();
+    let mut fewest_parallel_ops = usize::MAX;
     for &t in &THREAD_COUNTS {
         engine.set_threads(t);
         assert_eq!(engine.threads(), t);
+        let mut parallel_ops = 0;
         for (i, q) in queries.iter().enumerate() {
-            let got = rendered_answers(&engine, q, 2);
+            let (got, ops) = rendered_answers(&engine, q, 2);
+            parallel_ops += ops;
             if t == 1 {
                 baseline.push(got);
             } else {
@@ -57,12 +66,18 @@ fn assert_workload_deterministic(db: Database, queries: &[&str], label: &str) {
                 );
             }
         }
+        if t > 1 {
+            fewest_parallel_ops = fewest_parallel_ops.min(parallel_ops);
+        }
     }
+    fewest_parallel_ops
 }
 
 /// Every bundled workload answers byte-identically at 1/2/4/8 threads:
 /// the normalized university dataset, the normalized TPC-H and ACMDL
-/// instances, and their denormalized primed variants.
+/// instances, their denormalized primed variants, and a 20,000-order
+/// TPC-H′ instance large enough that the morsel kernels run on several
+/// workers.
 #[test]
 fn bundled_workloads_answer_identically_at_every_thread_count() {
     assert_workload_deterministic(
@@ -78,6 +93,21 @@ fn bundled_workloads_answer_identically_at_every_thread_count() {
     let acmdl = generate_acmdl(&AcmdlConfig::small());
     assert_workload_deterministic(acmdl.clone(), &acmdl_queries, "acmdl");
     assert_workload_deterministic(denormalize_acmdl(&acmdl), &acmdl_queries, "acmdl-prime");
+    let sweep = TpchConfig {
+        seed: 42,
+        parts: 400,
+        suppliers: 300,
+        customers: 200,
+        orders: 20_000,
+        parts_per_supplier: 80,
+        max_orders_per_pair: 3,
+    };
+    let parallel_ops = assert_workload_deterministic(
+        denormalize_tpch(&generate_tpch(&sweep)),
+        &tpch_queries,
+        "tpch-prime-20k",
+    );
+    assert!(parallel_ops > 0, "tpch-prime-20k: no operator ran on more than one worker");
 }
 
 /// SplitMix64 (same generator as `tests/properties.rs`): deterministic
