@@ -51,4 +51,4 @@ pub use io::{export_dir, import_dir, load_csv, schema_from_text, schema_to_text,
 pub use normalize::{DerivedRelation, NormalizedView};
 pub use schema::{AttrType, Attribute, DatabaseSchema, ForeignKey, RelationSchema};
 pub use table::{Row, Table};
-pub use value::{Date, Value};
+pub use value::{contains_ci, Date, Value};

@@ -81,8 +81,8 @@ impl Value {
     pub fn contains_ci(&self, needle_lower: &str) -> bool {
         match self {
             Value::Null => false,
-            Value::Str(s) => s.to_lowercase().contains(needle_lower),
-            other => other.to_string().to_lowercase().contains(needle_lower),
+            Value::Str(s) => contains_ci(s, needle_lower),
+            other => contains_ci(&other.to_string(), needle_lower),
         }
     }
 
@@ -117,6 +117,24 @@ impl Value {
             f.to_bits()
         }
     }
+}
+
+/// `haystack.to_lowercase().contains(needle_lower)`, the one definition
+/// of the `contains` predicate on text. An ASCII haystack lowercases
+/// byte by byte, so it is searched in place without allocating; on the
+/// short names and codes scans test row by row this is several times
+/// faster than allocating a lowercase copy. Any other haystack goes
+/// through `to_lowercase`, whose Unicode mappings (`İ` to two chars,
+/// final `ς`) a byte fold cannot reproduce.
+pub fn contains_ci(haystack: &str, needle_lower: &str) -> bool {
+    if !haystack.is_ascii() {
+        return haystack.to_lowercase().contains(needle_lower);
+    }
+    let (hay, needle) = (haystack.as_bytes(), needle_lower.as_bytes());
+    needle.is_empty()
+        || hay
+            .windows(needle.len())
+            .any(|w| w.iter().zip(needle).all(|(h, n)| h.to_ascii_lowercase() == *n))
 }
 
 impl PartialEq for Value {
@@ -252,6 +270,54 @@ mod tests {
         assert!(!v.contains_ci("white"));
         assert!(Value::Int(1234).contains_ci("23"));
         assert!(!Value::Null.contains_ci(""));
+    }
+
+    /// The ASCII fast path agrees with `to_lowercase().contains` on
+    /// ASCII text, on case mappings that change length or depend on
+    /// context, and on the empty needle.
+    #[test]
+    fn contains_ci_matches_to_lowercase_contains() {
+        let hays = [
+            "Indian Black Chocolate",
+            "ROYAL olive",
+            "",
+            "a",
+            "AbcAbcABC",
+            "İstanbul",
+            "STRASSE Straße",
+            "ΟΔΟΣ Σίσυφος",
+            "x\u{0}y",
+        ];
+        let needles = [
+            "",
+            "a",
+            "abc",
+            "black choc",
+            "royal olive",
+            "olive!",
+            "i",
+            "i\u{307}",
+            "i̇stanbul",
+            "ß",
+            "strasse",
+            "straße",
+            "σ",
+            "ς",
+            "οδος",
+            "οδοσ",
+            "σίσυφος",
+            "\u{0}",
+            "z",
+        ];
+        for hay in hays {
+            for needle in needles {
+                assert_eq!(
+                    contains_ci(hay, needle),
+                    hay.to_lowercase().contains(needle),
+                    "{hay:?} contains {needle:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! get a dense typed vector; mixed-type columns (and date columns) fall
 //! back to a `Vec<Value>` so no value representation is ever lossy.
 //!
+//! Batches are built from base rows one column list at a time
+//! ([`ColumnBatch::from_row_refs`]): a scan copies only the columns its
+//! consumer reads, never the whole relation width.
+//!
 //! Columns are individually reference-counted (`Arc<Column>`), which
 //! makes two hot paths allocation-free: `Project` re-arranges `Arc`s
 //! without touching data, and the shared-subplan replay
@@ -308,21 +312,26 @@ pub struct ColumnBatch {
 impl ColumnBatch {
     /// An empty batch with `width` (empty) columns.
     pub fn empty(width: usize) -> ColumnBatch {
-        ColumnBatch::from_row_refs(width, &[])
+        ColumnBatch::from_rows(width, &[])
     }
 
-    /// Builds a batch from borrowed rows (each of `width` values).
-    pub fn from_row_refs(width: usize, rows: &[&Row]) -> ColumnBatch {
-        let columns = (0..width)
-            .map(|j| Arc::new(Column::from_values(rows.iter().map(|r| r[j].clone()).collect())))
+    /// Builds a batch from borrowed rows, keeping only row positions
+    /// `cols` (in that order, repeats allowed): output column `k` holds
+    /// `r[cols[k]]` of every row `r`. Columns not listed are never
+    /// copied, which is what lets a scan build only the columns its
+    /// consumer reads.
+    pub fn from_row_refs(cols: &[usize], rows: &[&Row]) -> ColumnBatch {
+        let columns = cols
+            .iter()
+            .map(|&j| Arc::new(Column::from_values(rows.iter().map(|r| r[j].clone()).collect())))
             .collect();
         ColumnBatch { len: rows.len(), columns }
     }
 
-    /// Builds a batch from owned rows.
+    /// Builds a batch from owned rows (each of `width` values, all kept).
     pub fn from_rows(width: usize, rows: &[Row]) -> ColumnBatch {
         let refs: Vec<&Row> = rows.iter().collect();
-        ColumnBatch::from_row_refs(width, &refs)
+        ColumnBatch::from_row_refs(&(0..width).collect::<Vec<_>>(), &refs)
     }
 
     /// Number of rows.
@@ -460,6 +469,18 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.width(), 4);
         assert_eq!(b.to_rows(), rs);
+    }
+
+    #[test]
+    fn row_refs_build_only_the_listed_columns() {
+        let rs = rows();
+        let refs: Vec<&Row> = rs.iter().collect();
+        let b = ColumnBatch::from_row_refs(&[3, 1, 1], &refs);
+        assert_eq!(b.width(), 3);
+        let want: Vec<Row> =
+            rs.iter().map(|r| vec![r[3].clone(), r[1].clone(), r[1].clone()]).collect();
+        assert_eq!(b.to_rows(), want);
+        assert_eq!(ColumnBatch::from_row_refs(&[], &refs).width(), 0);
     }
 
     #[test]

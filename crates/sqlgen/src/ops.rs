@@ -10,6 +10,16 @@
 //! `aqks explain --analyze` and the bench harness can attribute cost
 //! operator by operator.
 //!
+//! A scan builds only the columns its consumer reads: under a `Project`
+//! it copies just the projected columns out of the base rows, and the
+//! projection passes its batches on.
+//!
+//! Distinct, the hash join and the aggregate key one kind of hash table,
+//! `KeyTable`: `key_hash` hashes a row's key straight from the typed
+//! columns with a fixed multiplicative hasher, consistent with
+//! `Value::hash`, and `keys_eq` verifies every hash hit under `Value`
+//! equality in place, so a collision costs time, not correctness.
+//!
 //! The heavy operators are morsel-driven (Leis et al., SIGMOD 2014):
 //! each has one kernel over a 1024-row morsel or an input chunk —
 //! `scan_morsel` filters, `build_join_table` radix-partitions and
@@ -31,16 +41,15 @@
 //! When the statement has no ORDER BY, output rows are stably sorted by
 //! value so results are reproducible across runs and across plans.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use aqks_relational::{Database, Row, Value};
+use aqks_relational::{contains_ci, Database, Row, Value};
 
 use crate::ast::AggFunc;
-use crate::batch::{ColumnBatch, ColumnData};
+use crate::batch::{Column, ColumnBatch, ColumnData};
 use crate::exec::ExecError;
 use crate::par::{self, ExecOptions};
 use crate::plan::{PhysAggItem, PhysPred, PlanNode, PlanOp};
@@ -367,10 +376,9 @@ fn filter_pred(batch: &ColumnBatch, pred: &PhysPred, idx: &mut Vec<u32>) {
         PhysPred::ContainsCi(c, needle) => {
             let col = batch.column(*c);
             match col.data() {
-                ColumnData::Str(s) => idx.retain(|&i| {
-                    col.is_valid(i as usize)
-                        && s[i as usize].to_lowercase().contains(needle.as_str())
-                }),
+                ColumnData::Str(s) => {
+                    idx.retain(|&i| col.is_valid(i as usize) && contains_ci(&s[i as usize], needle))
+                }
                 _ => idx.retain(|&i| col.value(i as usize).contains_ci(needle)),
             }
         }
@@ -405,12 +413,13 @@ fn poll_deadline(
     }
 }
 
-/// Scan kernel: filters morsel `m` of `rows` through `preds`, returning
-/// the survivors as one batch, or `None` when none survive.
+/// Scan kernel: filters morsel `m` of `rows` through `preds` (on the
+/// full base row) and builds the survivors' `cols` as one batch, or
+/// `None` when none survive.
 fn scan_morsel(
     rows: &[Row],
     preds: &[PhysPred],
-    width: usize,
+    cols: &[usize],
     m: usize,
     gov: Option<&aqks_guard::Governor>,
 ) -> Result<Option<ColumnBatch>, ExecError> {
@@ -423,17 +432,21 @@ fn scan_morsel(
             keep.push(row);
         }
     }
-    Ok((!keep.is_empty()).then(|| ColumnBatch::from_row_refs(width, &keep)))
+    Ok((!keep.is_empty()).then(|| ColumnBatch::from_row_refs(cols, &keep)))
 }
 
 /// Scan with scan-time predicate evaluation: one batch per morsel with
-/// survivors, in morsel order. One worker filters one morsel per
-/// `next`, so `LIMIT` can short-circuit the scan; more workers filter
-/// every morsel on the pool at `open` and replay the batches.
+/// survivors, in morsel order, holding only the output columns `cols`
+/// (every column, or the columns a `Project` directly above reads — see
+/// [`build`]). One worker filters one morsel per `next`, so `LIMIT` can
+/// short-circuit the scan; more workers filter every morsel on the pool
+/// at `open` and replay the batches.
 struct Scan<'a> {
     rows: &'a [Row],
     preds: &'a [PhysPred],
+    cols: Vec<usize>,
     threads: usize,
+    /// Columns of the base relation.
     width: usize,
     gov: Option<aqks_guard::Governor>,
     /// Next morsel to filter (one worker).
@@ -449,15 +462,14 @@ impl Operator for Scan<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
         self.morsel = 0;
         self.emitted = 0;
-        self.width = self.rows.first().map_or(0, Vec::len);
         self.gov = aqks_guard::current();
         let workers = par::workers(self.threads, self.rows.len());
         if workers > 1 {
-            let (rows, preds, width, gov) = (self.rows, self.preds, self.width, self.gov.as_ref());
+            let (rows, preds, cols, gov) = (self.rows, self.preds, &self.cols, self.gov.as_ref());
             let n_morsels = rows.len().div_ceil(MORSEL_SIZE);
             let t = Instant::now();
             let out = par::run_tasks(workers, n_morsels, "ops.Scan", |m| {
-                scan_morsel(rows, preds, width, m, gov)
+                scan_morsel(rows, preds, cols, m, gov)
             })?;
             self.par_wall = t.elapsed();
             self.par_threads = workers.min(n_morsels) as u32;
@@ -474,7 +486,7 @@ impl Operator for Scan<'_> {
         while self.morsel * MORSEL_SIZE < self.rows.len() {
             self.morsel += 1;
             let out =
-                scan_morsel(self.rows, self.preds, self.width, self.morsel - 1, self.gov.as_ref())?;
+                scan_morsel(self.rows, self.preds, &self.cols, self.morsel - 1, self.gov.as_ref())?;
             if out.is_some() {
                 return Ok(out);
             }
@@ -484,6 +496,10 @@ impl Operator for Scan<'_> {
 
     fn close(&mut self) {
         self.batches = None;
+    }
+
+    fn note(&self) -> Option<String> {
+        Some(format!("cols={}/{}", self.cols.len(), self.width))
     }
 
     fn parallel_info(&self) -> Option<(u32, Duration)> {
@@ -545,56 +561,249 @@ impl Operator for Filter<'_> {
     }
 }
 
-/// Radix partition of a join key under `mask` (`0` = one partition,
-/// no hashing). Partition assignment never affects output order, but
-/// `DefaultHasher` with fixed keys is deterministic anyway.
-fn part_of(key: &[Value], mask: u64) -> usize {
-    if mask == 0 {
-        return 0;
+// ---------------------------------------------------------------------------
+// Key table
+// ---------------------------------------------------------------------------
+
+/// The fixed multiplicative hasher behind [`key_hash`]: one rotate, xor
+/// and multiply per 8-byte word, then a final avalanche so both the low
+/// bits (bucket) and the high bits (radix partition) are usable. Fixed
+/// keys make hashes, and so partition assignment, identical across runs.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() & mask) as usize
 }
 
-/// Join key at row `i` of `batch`, or `None` when any component is NULL
-/// (NULL never joins).
-fn key_at(batch: &ColumnBatch, keys: &[usize], i: usize) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(keys.len());
-    for &k in keys {
-        let v = batch.value(k, i);
-        if v.is_null() {
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.add(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ (h >> 33)
+    }
+}
+
+/// Hash of row `i`'s key columns `cols`, read straight from the typed
+/// columns. Each slot feeds the hasher exactly the bytes `Value::hash`
+/// would, so keys equal as `Value`s hash equal: `Int(2)` and
+/// `Float(2.0)`, `0.0` and `-0.0`, NaN and NaN.
+fn key_hash(batch: &ColumnBatch, cols: &[usize], i: usize) -> u64 {
+    let mut h = KeyHasher(0);
+    for &c in cols {
+        let col = batch.column(c);
+        if !col.is_valid(i) {
+            Value::Null.hash(&mut h);
+            continue;
+        }
+        match col.data() {
+            ColumnData::Int(v) => Value::Int(v[i]).hash(&mut h),
+            ColumnData::Float(v) => Value::Float(v[i]).hash(&mut h),
+            ColumnData::Str(v) => {
+                // `Value::Str`'s tag, then the string as `str` hashes it.
+                h.write_u8(2);
+                v[i].hash(&mut h);
+            }
+            ColumnData::Any(v) => v[i].hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// `Value` equality of row `i`'s `acols` in `a` and row `j`'s `bcols` in
+/// `b`, column by column; NULL equals NULL (the join drops NULL keys
+/// before it hashes). The same-type Int and Str cases compare in place.
+fn keys_eq(
+    a: &ColumnBatch,
+    acols: &[usize],
+    i: usize,
+    b: &ColumnBatch,
+    bcols: &[usize],
+    j: usize,
+) -> bool {
+    acols.iter().zip(bcols).all(|(&ca, &cb)| {
+        let (x, y) = (a.column(ca), b.column(cb));
+        match (x.is_valid(i), y.is_valid(j)) {
+            (true, true) => match (x.data(), y.data()) {
+                (ColumnData::Int(p), ColumnData::Int(q)) => p[i] == q[j],
+                (ColumnData::Str(p), ColumnData::Str(q)) => p[i] == q[j],
+                _ => x.value(i) == y.value(j),
+            },
+            (vx, vy) => vx == vy,
+        }
+    })
+}
+
+/// True when any of row `i`'s `cols` is NULL (such a key never joins).
+fn has_null(batch: &ColumnBatch, cols: &[usize], i: usize) -> bool {
+    cols.iter().any(|&c| !batch.column(c).is_valid(i))
+}
+
+/// End of a [`KeyTable`] bucket chain.
+const NONE: u32 = u32::MAX;
+
+/// Chained hash table of distinct keys, numbered `0..len()` in insertion
+/// order. It stores only each entry's hash; the caller keeps a row
+/// holding each entry's key and verifies every hash hit with
+/// [`keys_eq`], so a collision costs a comparison, never a wrong match.
+#[derive(Default)]
+struct KeyTable {
+    /// Bucket → its most recent entry, or [`NONE`]; a power-of-two length.
+    heads: Vec<u32>,
+    /// Entry → the next entry in its bucket, or [`NONE`].
+    next: Vec<u32>,
+    /// Entry → its key hash.
+    hashes: Vec<u64>,
+}
+
+impl KeyTable {
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn hash(&self, e: u32) -> u64 {
+        self.hashes[e as usize]
+    }
+
+    /// The entry with hash `h` whose key `eq` accepts.
+    fn find(&self, h: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.heads.is_empty() {
             return None;
         }
-        key.push(v);
+        let mut e = self.heads[h as usize & (self.heads.len() - 1)];
+        while e != NONE {
+            if self.hashes[e as usize] == h && eq(e) {
+                return Some(e);
+            }
+            e = self.next[e as usize];
+        }
+        None
     }
-    Some(key)
+
+    /// Adds entry `len()` with hash `h`; the caller has found no equal key.
+    fn insert(&mut self, h: u64) -> u32 {
+        let e = u32::try_from(self.len())
+            .ok()
+            .filter(|&e| e != NONE)
+            .expect("key table under 2^32-1 entries");
+        self.hashes.push(h);
+        self.next.push(NONE);
+        if self.len() > self.heads.len() {
+            // Load factor 1: double and re-chain every entry.
+            self.heads = vec![NONE; (2 * self.heads.len()).max(16)];
+            for f in 0..=e {
+                self.link(f);
+            }
+        } else {
+            self.link(e);
+        }
+        e
+    }
+
+    fn link(&mut self, e: u32) {
+        let b = self.hashes[e as usize] as usize & (self.heads.len() - 1);
+        self.next[e as usize] = self.heads[b];
+        self.heads[b] = e;
+    }
+
+    /// Resident bytes of the table (its three arrays).
+    fn byte_size(&self) -> u64 {
+        (self.heads.len() * 4 + self.next.len() * 4 + self.hashes.len() * 8) as u64
+    }
 }
 
-/// `(key, build-row-index)` pairs routed to one radix partition.
-type KeyedIdx = Vec<(Vec<Value>, u32)>;
+/// `(key hash, build-row index)` pairs routed to one radix partition.
+type HashedIdx = Vec<(u64, u32)>;
+
+/// One radix partition of a [`JoinTable`]: its distinct keys, and each
+/// key's build rows in ascending order (CSR: key `e`'s rows are
+/// `rows[offsets[e]..offsets[e + 1]]`, its first row stands for the key).
+#[derive(Default)]
+struct JoinPart {
+    keys: KeyTable,
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl JoinPart {
+    fn byte_size(&self) -> u64 {
+        self.keys.byte_size() + ((self.offsets.len() + self.rows.len()) * 4) as u64
+    }
+}
 
 /// Partition-indexed hash table over build-side row indices. Per-key
-/// index lists are in ascending global build order, which pins the
+/// row lists are in ascending global build order, which pins the
 /// probe-output match order at every worker count.
-#[derive(Default)]
 struct JoinTable {
-    partitions: Vec<HashMap<Vec<Value>, Vec<u32>>>,
-    mask: u64,
+    parts: Vec<JoinPart>,
+    /// log2 of the partition count; partitions take the hash's top bits.
+    bits: u32,
 }
 
 impl JoinTable {
-    fn get(&self, key: &[Value]) -> Option<&Vec<u32>> {
-        self.partitions.get(part_of(key, self.mask))?.get(key)
+    fn part_of(&self, h: u64) -> usize {
+        if self.bits == 0 {
+            0
+        } else {
+            (h >> (64 - self.bits)) as usize
+        }
+    }
+
+    /// The build rows whose `bkeys` equal `probe` row `i`'s `pkeys`.
+    fn matches(
+        &self,
+        build: &ColumnBatch,
+        bkeys: &[usize],
+        probe: &ColumnBatch,
+        pkeys: &[usize],
+        i: usize,
+    ) -> &[u32] {
+        let h = key_hash(probe, pkeys, i);
+        let part = &self.parts[self.part_of(h)];
+        let first = |e: u32| part.rows[part.offsets[e as usize] as usize] as usize;
+        match part.keys.find(h, |e| keys_eq(build, bkeys, first(e), probe, pkeys, i)) {
+            Some(e) => {
+                &part.rows[part.offsets[e as usize] as usize..part.offsets[e as usize + 1] as usize]
+            }
+            None => &[],
+        }
+    }
+
+    fn byte_size(&self) -> u64 {
+        self.parts.iter().map(JoinPart::byte_size).sum()
     }
 }
 
-/// Join-build kernel: indexes `data`'s key columns into `parts` radix
-/// partitions (a power of two) in two phases on `workers` workers.
-/// Morsels route `(key, index)` pairs into per-morsel partition buckets,
-/// then one task per partition folds the buckets *in morsel order* into
-/// its hash map, so every per-key index list comes out in ascending
-/// global row order.
+/// Join-build kernel: indexes `data`'s key columns `keys` into `parts`
+/// radix partitions (a power of two) in two phases on `workers` workers.
+/// Morsels hash their rows and route `(hash, index)` pairs into
+/// per-morsel partition buckets, then one task per partition folds the
+/// buckets *in morsel order* into its [`JoinPart`], so every per-key
+/// row list comes out in ascending global row order.
 fn build_join_table(
     data: &ColumnBatch,
     keys: &[usize],
@@ -602,37 +811,64 @@ fn build_join_table(
     parts: usize,
 ) -> Result<JoinTable, ExecError> {
     let n = data.len();
-    let mask = (parts - 1) as u64;
+    let table = JoinTable { parts: Vec::new(), bits: parts.trailing_zeros() };
     let gov = aqks_guard::current();
     let morsels = par::run_tasks(workers, n.div_ceil(MORSEL_SIZE), "ops.HashJoin", |mi| {
         let start = mi * MORSEL_SIZE;
-        let mut buckets: Vec<KeyedIdx> = (0..parts).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<HashedIdx> = (0..parts).map(|_| Vec::new()).collect();
         for i in start..(start + MORSEL_SIZE).min(n) {
             poll_deadline(gov.as_ref(), i - start, "ops.HashJoin")?;
-            if let Some(key) = key_at(data, keys, i) {
-                buckets[part_of(&key, mask)].push((key, i as u32));
+            if !has_null(data, keys, i) {
+                let h = key_hash(data, keys, i);
+                buckets[table.part_of(h)].push((h, i as u32));
             }
         }
         Ok(buckets)
     })?;
     // Route each morsel's buckets to its partition slot (cheap Vec
     // moves), preserving morsel order per partition.
-    let slots: Vec<Mutex<Vec<KeyedIdx>>> =
+    let slots: Vec<Mutex<Vec<HashedIdx>>> =
         (0..parts).map(|_| Mutex::new(Vec::with_capacity(morsels.len()))).collect();
     for mut morsel in morsels {
         for (p, bucket) in morsel.drain(..).enumerate() {
             par::relock(&slots[p]).push(bucket);
         }
     }
-    let partitions = par::run_tasks(workers, parts, "ops.HashJoin", |p| {
+    let parts = par::run_tasks(workers, parts, "ops.HashJoin", |p| {
         let chunks = std::mem::take(&mut *par::relock(&slots[p]));
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for (key, i) in chunks.into_iter().flatten() {
-            map.entry(key).or_default().push(i);
+        let mut part = JoinPart::default();
+        // Each row's key entry, then a counting sort by entry: stable, so
+        // every entry's rows stay ascending.
+        let mut firsts: Vec<u32> = Vec::new();
+        let mut entry_of: Vec<(u32, u32)> = Vec::new();
+        for &(h, i) in chunks.iter().flatten() {
+            let eq =
+                |e: u32| keys_eq(data, keys, firsts[e as usize] as usize, data, keys, i as usize);
+            let e = match part.keys.find(h, eq) {
+                Some(e) => e,
+                None => {
+                    firsts.push(i);
+                    part.keys.insert(h)
+                }
+            };
+            entry_of.push((e, i));
         }
-        Ok(map)
+        part.offsets = vec![0; part.keys.len() + 1];
+        for &(e, _) in &entry_of {
+            part.offsets[e as usize + 1] += 1;
+        }
+        for e in 0..part.keys.len() {
+            part.offsets[e + 1] += part.offsets[e];
+        }
+        let mut fill = part.offsets.clone();
+        part.rows = vec![0; entry_of.len()];
+        for (e, i) in entry_of {
+            part.rows[fill[e as usize] as usize] = i;
+            fill[e as usize] += 1;
+        }
+        Ok(part)
     })?;
-    Ok(JoinTable { partitions, mask })
+    Ok(JoinTable { parts, ..table })
 }
 
 /// Join-probe kernel: every match of `probe`'s rows in `table`, in probe
@@ -640,22 +876,23 @@ fn build_join_table(
 /// right; `None` when nothing matches.
 fn probe_batch(
     build: &ColumnBatch,
+    bkeys: &[usize],
     table: &JoinTable,
     build_left: bool,
     probe: &ColumnBatch,
-    keys: &[usize],
+    pkeys: &[usize],
     gov: Option<&aqks_guard::Governor>,
 ) -> Result<Option<ColumnBatch>, ExecError> {
     let mut bidx: Vec<u32> = Vec::new();
     let mut pidx: Vec<u32> = Vec::new();
     for i in 0..probe.len() {
         poll_deadline(gov, i, "ops.HashJoin")?;
-        let Some(key) = key_at(probe, keys, i) else { continue };
-        if let Some(matches) = table.get(&key) {
-            for &m in matches {
-                bidx.push(m);
-                pidx.push(i as u32);
-            }
+        if has_null(probe, pkeys, i) {
+            continue;
+        }
+        for &m in table.matches(build, bkeys, probe, pkeys, i) {
+            bidx.push(m);
+            pidx.push(i as u32);
         }
     }
     if bidx.is_empty() {
@@ -733,17 +970,18 @@ impl Operator for HashJoin<'_> {
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
-        let (probe, keys) = if self.build_left {
-            (&mut self.right, self.right_keys)
+        let (probe, pkeys, bkeys) = if self.build_left {
+            (&mut self.right, self.right_keys, self.left_keys)
         } else {
-            (&mut self.left, self.left_keys)
+            (&mut self.left, self.left_keys, self.right_keys)
         };
         let build_left = self.build_left;
         if self.threads <= 1 {
             while let Some(batch) = probe.next()? {
                 self.probe_rows += batch.len() as u64;
                 let Some((data, table)) = &self.build else { continue };
-                let out = probe_batch(data, table, build_left, &batch, keys, self.gov.as_ref())?;
+                let gov = self.gov.as_ref();
+                let out = probe_batch(data, bkeys, table, build_left, &batch, pkeys, gov)?;
                 if out.is_some() {
                     return Ok(out);
                 }
@@ -764,7 +1002,7 @@ impl Operator for HashJoin<'_> {
                 let t = Instant::now();
                 let res =
                     par::run_tasks(self.threads, probe_batches.len(), "ops.HashJoin", |bi| {
-                        probe_batch(data, table, build_left, &probe_batches[bi], keys, gov)
+                        probe_batch(data, bkeys, table, build_left, &probe_batches[bi], pkeys, gov)
                     })?;
                 self.par_wall += t.elapsed();
                 self.par_threads =
@@ -794,10 +1032,9 @@ impl Operator for HashJoin<'_> {
     }
 
     fn mem_bytes(&self) -> u64 {
-        // Build side plus (at more workers) the materialized probe
-        // output; the hash table's key index is not columnar and is
-        // not counted.
-        self.build.as_ref().map_or(0, |(data, _)| data.byte_size())
+        // Build side and its key table, plus (at more workers) the
+        // materialized probe output.
+        self.build.as_ref().map_or(0, |(data, table)| data.byte_size() + table.byte_size())
             + self.out.as_ref().map_or(0, |o| o.iter().map(ColumnBatch::byte_size).sum())
     }
 }
@@ -888,60 +1125,48 @@ enum AggState {
     First(Option<Value>),
 }
 
-fn new_states(items: &[PhysAggItem]) -> Vec<AggState> {
-    items
-        .iter()
-        .map(|item| match item {
-            PhysAggItem::Col(_) => AggState::First(None),
-            PhysAggItem::Agg { func, distinct, .. } => {
-                if *distinct {
-                    AggState::Vals(Vec::new())
-                } else {
-                    match func {
-                        AggFunc::Count => AggState::Count(0),
-                        AggFunc::Min => AggState::Min(None),
-                        AggFunc::Max => AggState::Max(None),
-                        AggFunc::Sum | AggFunc::Avg => AggState::Vals(Vec::new()),
-                    }
-                }
-            }
-        })
-        .collect()
+fn new_state(item: &PhysAggItem) -> AggState {
+    match item {
+        PhysAggItem::Col(_) => AggState::First(None),
+        PhysAggItem::Agg { distinct: true, .. } => AggState::Vals(Vec::new()),
+        PhysAggItem::Agg { func, .. } => match func {
+            AggFunc::Count => AggState::Count(0),
+            AggFunc::Min => AggState::Min(None),
+            AggFunc::Max => AggState::Max(None),
+            AggFunc::Sum | AggFunc::Avg => AggState::Vals(Vec::new()),
+        },
+    }
 }
 
-fn acc_state(state: &mut AggState, v: Value) {
-    match state {
-        AggState::Count(n) => {
-            if !v.is_null() {
-                *n += 1;
-            }
+/// Folds slot `i` of `col` into `state`.
+fn acc_state(state: &mut AggState, col: &Column, i: usize) {
+    if let AggState::First(f) = state {
+        if f.is_none() {
+            *f = Some(col.value(i));
         }
+        return;
+    }
+    if !col.is_valid(i) {
+        return;
+    }
+    match state {
+        AggState::Count(n) => *n += 1,
         AggState::Min(cur) => {
-            if !v.is_null() {
-                match cur {
-                    Some(c) if v >= *c => {}
-                    _ => *cur = Some(v),
-                }
+            let v = col.value(i);
+            match cur {
+                Some(c) if v >= *c => {}
+                _ => *cur = Some(v),
             }
         }
         AggState::Max(cur) => {
-            if !v.is_null() {
-                match cur {
-                    Some(c) if v < *c => {}
-                    _ => *cur = Some(v),
-                }
+            let v = col.value(i);
+            match cur {
+                Some(c) if v < *c => {}
+                _ => *cur = Some(v),
             }
         }
-        AggState::Vals(vs) => {
-            if !v.is_null() {
-                vs.push(v);
-            }
-        }
-        AggState::First(f) => {
-            if f.is_none() {
-                *f = Some(v);
-            }
-        }
+        AggState::Vals(vs) => vs.push(col.value(i)),
+        AggState::First(_) => {}
     }
 }
 
@@ -978,62 +1203,84 @@ fn finalize_state(state: AggState, item: &PhysAggItem) -> Value {
     }
 }
 
-/// One chunk's grouped partial states, keys in first-appearance order.
+/// One chunk's grouped partial states, groups numbered in
+/// first-appearance order. A group's key lives in the aggregate's
+/// buffered input, at the row where the group first appeared.
+#[derive(Default)]
 struct Partial {
-    order: Vec<Vec<Value>>,
-    groups: HashMap<Vec<Value>, Vec<AggState>>,
+    keys: KeyTable,
+    /// Group → `(input batch, row)` of its first appearance.
+    firsts: Vec<(u32, u32)>,
+    /// Group-major states, one per output item.
+    states: Vec<AggState>,
 }
 
 impl Partial {
-    fn new() -> Partial {
-        Partial { order: Vec::new(), groups: HashMap::new() }
+    /// The group of `batches[b]` row `i`'s `group` key, added (with fresh
+    /// states) when new.
+    fn group_of(
+        &mut self,
+        batches: &[ColumnBatch],
+        group: &[usize],
+        h: u64,
+        (b, i): (u32, u32),
+        items: &[PhysAggItem],
+    ) -> u32 {
+        let (at, firsts) = (&batches[b as usize], &self.firsts);
+        let eq = |e: u32| {
+            let (fb, fi) = firsts[e as usize];
+            keys_eq(&batches[fb as usize], group, fi as usize, at, group, i as usize)
+        };
+        self.keys.find(h, eq).unwrap_or_else(|| {
+            self.firsts.push((b, i));
+            self.states.extend(items.iter().map(new_state));
+            self.keys.insert(h)
+        })
     }
 
-    /// Merges a later chunk's partial into this one: new keys append in
-    /// their first-appearance order, shared keys merge state by state.
-    fn merge(&mut self, mut later: Partial) {
-        for key in later.order {
-            let Some(states) = later.groups.remove(&key) else { continue };
-            match self.groups.entry(key) {
-                Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        merge_state(a, b);
-                    }
-                }
-                Entry::Vacant(e) => {
-                    self.order.push(e.key().clone());
-                    e.insert(states);
-                }
+    /// Merges a later chunk's partial into this one: new groups append
+    /// in their first-appearance order, and every group merges state by
+    /// state (into fresh states when new).
+    fn merge(
+        &mut self,
+        later: Partial,
+        batches: &[ColumnBatch],
+        group: &[usize],
+        items: &[PhysAggItem],
+    ) {
+        let mut states = later.states.into_iter();
+        for (e, &first) in later.firsts.iter().enumerate() {
+            let g = self.group_of(batches, group, later.keys.hash(e as u32), first, items);
+            let at = g as usize * items.len();
+            for (a, b) in self.states[at..at + items.len()].iter_mut().zip(states.by_ref()) {
+                merge_state(a, b);
             }
         }
     }
 }
 
-/// Aggregate kernel: folds one batch into a partial, polling the
+/// Aggregate kernel: folds `batches[b]` into a partial, polling the
 /// captured governor's deadline mid-batch when present.
 fn accumulate_batch(
     p: &mut Partial,
-    batch: &ColumnBatch,
+    batches: &[ColumnBatch],
+    b: usize,
     group: &[usize],
     items: &[PhysAggItem],
     gov: Option<&aqks_guard::Governor>,
 ) -> Result<(), ExecError> {
+    let batch = &batches[b];
     for i in 0..batch.len() {
         poll_deadline(gov, i, "ops.HashAggregate")?;
-        let key: Vec<Value> = group.iter().map(|&c| batch.value(c, i)).collect();
-        let states = match p.groups.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                p.order.push(e.key().clone());
-                e.insert(new_states(items))
-            }
-        };
+        let h = key_hash(batch, group, i);
+        let g = p.group_of(batches, group, h, (b as u32, i as u32), items);
+        let states = &mut p.states[g as usize * items.len()..][..items.len()];
         for (state, item) in states.iter_mut().zip(items) {
             let col = match item {
                 PhysAggItem::Col(c) => *c,
                 PhysAggItem::Agg { arg, .. } => *arg,
             };
-            acc_state(state, batch.value(col, i));
+            acc_state(state, batch.column(col), i);
         }
     }
     Ok(())
@@ -1076,6 +1323,7 @@ struct HashAggregate<'a> {
     emitted: usize,
     in_rows: u64,
     in_bytes: u64,
+    key_bytes: u64,
     groups_out: u64,
     par_threads: u32,
     par_wall: Duration,
@@ -1104,30 +1352,31 @@ impl Operator for HashAggregate<'_> {
         let t = Instant::now();
         let partials = par::run_tasks(workers, chunks.len(), "ops.HashAggregate", |ci| {
             let (s, e) = chunks[ci];
-            let mut p = Partial::new();
-            for b in &batches[s..e] {
-                accumulate_batch(&mut p, b, group, items, gov.as_ref())?;
+            let mut p = Partial::default();
+            for b in s..e {
+                accumulate_batch(&mut p, &batches, b, group, items, gov.as_ref())?;
             }
             Ok(p)
         })?;
         self.par_wall = t.elapsed();
         self.par_threads = workers.min(chunks.len()) as u32;
         let mut partials = partials.into_iter();
-        let mut acc = partials.next().unwrap_or_else(Partial::new);
+        let mut acc = partials.next().unwrap_or_default();
         for p in partials {
-            acc.merge(p);
+            acc.merge(p, &batches, group, items);
         }
-        let Partial { mut order, mut groups } = acc;
+        self.key_bytes = acc.keys.byte_size();
         // A global aggregate over an empty input still yields one row.
-        if order.is_empty() && self.group.is_empty() {
-            order.push(Vec::new());
-            groups.insert(Vec::new(), new_states(items));
+        if acc.firsts.is_empty() && group.is_empty() {
+            acc.firsts.push((0, 0));
+            acc.states.extend(items.iter().map(new_state));
         }
-        self.groups_out = order.len() as u64;
-        for key in order {
-            let Some(states) = groups.remove(&key) else { continue };
+        self.groups_out = acc.firsts.len() as u64;
+        let mut states = acc.states.into_iter();
+        for _ in 0..acc.firsts.len() {
             let row: Row = states
-                .into_iter()
+                .by_ref()
+                .take(items.len())
                 .zip(items)
                 .map(|(state, item)| finalize_state(state, item))
                 .collect();
@@ -1161,16 +1410,17 @@ impl Operator for HashAggregate<'_> {
 
     fn mem_bytes(&self) -> u64 {
         // Peak is the buffered input (held until finalize), measured
-        // as the batches streamed in.
-        self.in_bytes
+        // as the batches streamed in, plus the group key table.
+        self.in_bytes + self.key_bytes
     }
 }
 
 /// Column projection — zero-copy: the output batch shares the selected
-/// columns' storage.
+/// columns' storage. `cols` is `None` when the scan below already built
+/// exactly these columns, and batches pass through unchanged.
 struct Project<'a> {
     child: Metered<'a>,
-    cols: &'a [usize],
+    cols: Option<&'a [usize]>,
 }
 
 impl Operator for Project<'_> {
@@ -1179,10 +1429,11 @@ impl Operator for Project<'_> {
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
-        match self.child.next()? {
-            Some(batch) => Ok(Some(batch.select(self.cols))),
-            None => Ok(None),
-        }
+        let batch = self.child.next()?;
+        Ok(match self.cols {
+            Some(cols) => batch.map(|b| b.select(cols)),
+            None => batch,
+        })
     }
 
     fn close(&mut self) {
@@ -1190,11 +1441,18 @@ impl Operator for Project<'_> {
     }
 }
 
-/// Streaming duplicate elimination.
+/// Streaming duplicate elimination: emits each batch's first-seen rows,
+/// in input order. It keeps the batches it emitted — exactly the
+/// distinct rows — and a [`KeyTable`] over their rows.
 struct Distinct<'a> {
     child: Metered<'a>,
-    seen: HashSet<Row>,
-    seen_bytes: u64,
+    seen: KeyTable,
+    /// Distinct row → `(index into kept, row)`.
+    rows: Vec<(u32, u32)>,
+    kept: Vec<ColumnBatch>,
+    kept_bytes: u64,
+    /// Every column of the input: the whole row is the key.
+    cols: Vec<usize>,
 }
 
 impl Operator for Distinct<'_> {
@@ -1204,30 +1462,51 @@ impl Operator for Distinct<'_> {
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
         while let Some(batch) = self.child.next()? {
+            if self.cols.len() != batch.width() {
+                self.cols = (0..batch.width()).collect();
+            }
+            // Rows first seen in this batch point into the batch itself
+            // until it is emitted as `kept[cur]`.
+            let cur = self.kept.len() as u32;
             let mut fresh: Vec<u32> = Vec::new();
             for i in 0..batch.len() {
-                if self.seen.insert(batch.row(i)) {
+                let h = key_hash(&batch, &self.cols, i);
+                let (kept, rows, cols) = (&self.kept, &self.rows, &self.cols);
+                let eq = |e: u32| {
+                    let (b, r) = rows[e as usize];
+                    let at = if b == cur { &batch } else { &kept[b as usize] };
+                    keys_eq(at, cols, r as usize, &batch, cols, i)
+                };
+                if self.seen.find(h, eq).is_none() {
+                    self.seen.insert(h);
+                    self.rows.push((cur, i as u32));
                     fresh.push(i as u32);
                 }
             }
-            if !fresh.is_empty() {
-                let out = batch.gather(&fresh);
-                // The seen-set retains exactly the distinct rows — the
-                // rows this operator emits.
-                self.seen_bytes += out.byte_size();
-                return Ok(Some(out));
+            if fresh.is_empty() {
+                continue;
             }
+            let start = self.rows.len() - fresh.len();
+            for (k, loc) in self.rows[start..].iter_mut().enumerate() {
+                loc.1 = k as u32;
+            }
+            let out = if fresh.len() == batch.len() { batch } else { batch.gather(&fresh) };
+            self.kept_bytes += out.byte_size();
+            self.kept.push(out.clone());
+            return Ok(Some(out));
         }
         Ok(None)
     }
 
     fn close(&mut self) {
-        self.seen.clear();
+        self.seen = KeyTable::default();
+        self.rows = Vec::new();
+        self.kept = Vec::new();
         self.child.close();
     }
 
     fn mem_bytes(&self) -> u64 {
-        self.seen_bytes
+        self.kept_bytes + self.seen.byte_size() + (self.rows.len() * 8) as u64
     }
 }
 
@@ -1356,22 +1635,7 @@ fn build<'a>(
         return Ok(Metered { id: node.id, stats: stats.clone(), inner });
     }
     let inner: Box<dyn Operator + 'a> = match &node.op {
-        PlanOp::Scan { relation, pushed, .. } => {
-            let table =
-                db.table(relation).ok_or_else(|| ExecError::UnknownRelation(relation.clone()))?;
-            Box::new(Scan {
-                rows: table.rows(),
-                preds: pushed,
-                threads: opts.threads,
-                width: 0,
-                gov: None,
-                morsel: 0,
-                batches: None,
-                emitted: 0,
-                par_threads: 0,
-                par_wall: Duration::ZERO,
-            })
-        }
+        PlanOp::Scan { relation, pushed, .. } => scan(relation, pushed, db, opts, None)?,
         PlanOp::DerivedTable { .. } => Box::new(Passthrough {
             child: build(&node.children[0], db, stats, governed, shared, opts)?,
         }),
@@ -1410,18 +1674,32 @@ fn build<'a>(
             emitted: 0,
             in_rows: 0,
             in_bytes: 0,
+            key_bytes: 0,
             groups_out: 0,
             par_threads: 0,
             par_wall: Duration::ZERO,
         }),
-        PlanOp::Project { cols, .. } => Box::new(Project {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            cols,
-        }),
+        PlanOp::Project { cols, .. } => {
+            let input = &node.children[0];
+            // A scan directly below builds only the projected columns and
+            // the projection passes its batches on; both nodes stay
+            // metered, so their rows and batches are unchanged.
+            let (child, cols) = match &input.op {
+                PlanOp::Scan { relation, pushed, .. } if !shared.contains_key(&input.id) => {
+                    let inner = scan(relation, pushed, db, opts, Some(cols))?;
+                    (metered(input, inner, stats, governed), None)
+                }
+                _ => (build(input, db, stats, governed, shared, opts)?, Some(cols.as_slice())),
+            };
+            Box::new(Project { child, cols })
+        }
         PlanOp::Distinct => Box::new(Distinct {
             child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            seen: HashSet::new(),
-            seen_bytes: 0,
+            seen: KeyTable::default(),
+            rows: Vec::new(),
+            kept: Vec::new(),
+            kept_bytes: 0,
+            cols: Vec::new(),
         }),
         PlanOp::Sort { keys } => Box::new(Sort {
             child: build(&node.children[0], db, stats, governed, shared, opts)?,
@@ -1436,11 +1714,47 @@ fn build<'a>(
             remaining: *n,
         }),
     };
-    // Budget enforcement sits inside the metering shim so governed wall
-    // time is attributed to the operator it bounds.
+    Ok(metered(node, inner, stats, governed))
+}
+
+/// Wraps `node`'s operator in its shims. Budget enforcement sits inside
+/// the metering shim so governed wall time is attributed to the operator
+/// it bounds.
+fn metered<'a>(
+    node: &PlanNode,
+    inner: Box<dyn Operator + 'a>,
+    stats: &StatsCell,
+    governed: bool,
+) -> Metered<'a> {
     let inner: Box<dyn Operator + 'a> =
         if governed { Box::new(Guarded { site: guard_site(&node.op), inner }) } else { inner };
-    Ok(Metered { id: node.id, stats: stats.clone(), inner })
+    Metered { id: node.id, stats: stats.clone(), inner }
+}
+
+/// The scan of `relation`, building output columns `cols` (every column
+/// of the relation when `None`).
+fn scan<'a>(
+    relation: &str,
+    pushed: &'a [PhysPred],
+    db: &'a Database,
+    opts: ExecOptions,
+    cols: Option<&[usize]>,
+) -> Result<Box<dyn Operator + 'a>, ExecError> {
+    let table = db.table(relation).ok_or_else(|| ExecError::UnknownRelation(relation.into()))?;
+    let width = table.schema.attrs.len();
+    Ok(Box::new(Scan {
+        rows: table.rows(),
+        preds: pushed,
+        cols: cols.map_or_else(|| (0..width).collect(), <[usize]>::to_vec),
+        threads: opts.threads,
+        width,
+        gov: None,
+        morsel: 0,
+        batches: None,
+        emitted: 0,
+        par_threads: 0,
+        par_wall: Duration::ZERO,
+    }))
 }
 
 /// Executes a physical plan against `db`, returning the result table and
@@ -2088,5 +2402,373 @@ mod tests {
         assert_eq!(err, ExecError::Fault("agg.finalize"));
         aqks_guard::failpoint::clear();
         assert_eq!(execute(&stmt, &db).unwrap().scalar(), Some(&Value::Int(1)));
+    }
+
+    // -----------------------------------------------------------------
+    // Key table: hashing, verification and the operators built on it
+    // -----------------------------------------------------------------
+
+    /// A database of `Float`/`Text`/`Date`/`Int` tables `(name, rows)`
+    /// with columns K1, K2, D and V. A `Float` attribute also accepts
+    /// ints, so K1 can be a mixed Int/Float column.
+    fn keyed_db(tables: &[(&str, Vec<Row>)]) -> Database {
+        let mut db = Database::new("keys");
+        for (name, rows) in tables {
+            let mut s = RelationSchema::new(*name);
+            s.add_attr("K1", AttrType::Float)
+                .add_attr("K2", AttrType::Text)
+                .add_attr("D", AttrType::Date)
+                .add_attr("V", AttrType::Int);
+            db.add_relation(s).unwrap();
+            for r in rows {
+                db.insert(name, r.clone()).unwrap();
+            }
+        }
+        db
+    }
+
+    fn items(cols: &[(&str, &str)]) -> Vec<SelectItem> {
+        cols.iter().map(|(q, c)| SelectItem::Column { col: col(q, c), alias: None }).collect()
+    }
+
+    fn from(names: &[&str]) -> Vec<TableExpr> {
+        names
+            .iter()
+            .map(|n| TableExpr::Relation { name: n.to_string(), alias: n.to_string() })
+            .collect()
+    }
+
+    fn agg(func: AggFunc, q: &str, c: &str) -> SelectItem {
+        SelectItem::Aggregate {
+            func,
+            arg: col(q, c),
+            distinct: false,
+            alias: format!("{func:?}_{c}").to_lowercase(),
+        }
+    }
+
+    /// `SELECT DISTINCT T.<cols> FROM T`.
+    fn distinct_stmt(cols: &[&str]) -> SelectStatement {
+        let cols: Vec<(&str, &str)> = cols.iter().map(|c| ("T", *c)).collect();
+        SelectStatement {
+            distinct: true,
+            items: items(&cols),
+            from: from(&["T"]),
+            ..Default::default()
+        }
+    }
+
+    /// `L ⋈ R` on every column of `keys`, selecting both sides' K1, K2, V.
+    fn join_stmt(keys: &[&str]) -> SelectStatement {
+        SelectStatement {
+            items: items(&[
+                ("L", "K1"),
+                ("L", "K2"),
+                ("L", "V"),
+                ("R", "K1"),
+                ("R", "K2"),
+                ("R", "V"),
+            ]),
+            from: from(&["L", "R"]),
+            predicates: keys.iter().map(|k| Predicate::JoinEq(col("L", k), col("R", k))).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// `SELECT <keys>, COUNT(V), MIN(V), MAX(V) FROM T GROUP BY <keys>`.
+    fn group_stmt(keys: &[&str]) -> SelectStatement {
+        let cols: Vec<(&str, &str)> = keys.iter().map(|k| ("T", *k)).collect();
+        let mut it = items(&cols);
+        it.extend([AggFunc::Count, AggFunc::Min, AggFunc::Max].map(|f| agg(f, "T", "V")));
+        SelectStatement {
+            items: it,
+            from: from(&["T"]),
+            group_by: keys.iter().map(|k| col("T", k)).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// Output rows in operator output order (no stabilizing sort).
+    fn raw_rows(stmt: &SelectStatement, db: &Database, threads: usize) -> Vec<Row> {
+        let p = plan(stmt, db).unwrap();
+        let (batches, _) =
+            materialize_batches(&p, db, &SharedRows::new(), ExecOptions::with_threads(threads))
+                .unwrap();
+        batches.iter().flat_map(ColumnBatch::to_rows).collect()
+    }
+
+    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort();
+        rows
+    }
+
+    fn row(k1: Value, k2: Value, d: Value, v: i64) -> Row {
+        vec![k1, k2, d, Value::Int(v)]
+    }
+
+    /// Every slot feeds the hasher exactly what `Value::hash` feeds, so
+    /// `Value`-equal keys across column representations hash equal.
+    #[test]
+    fn key_hash_feeds_value_hash_bytes() {
+        let date = Value::Date(aqks_relational::Date::new(2020, 2, 29));
+        let rows = vec![
+            vec![
+                Value::Int(2),
+                Value::Float(2.0),
+                Value::str("ab"),
+                Value::Float(2.0),
+                date.clone(),
+            ],
+            vec![Value::Null, Value::Float(-0.0), Value::Null, Value::Int(7), Value::Null],
+            vec![Value::Int(-9), Value::Float(f64::NAN), Value::str(""), Value::Null, date],
+        ];
+        let batch = ColumnBatch::from_rows(5, &rows);
+        assert!(matches!(batch.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(batch.column(3).data(), ColumnData::Any(_)));
+        let cols = [0, 1, 2, 3, 4];
+        for (i, r) in rows.iter().enumerate() {
+            let mut h = KeyHasher(0);
+            r.iter().for_each(|v| v.hash(&mut h));
+            assert_eq!(key_hash(&batch, &cols, i), h.finish(), "row {i}");
+        }
+        let one = |v: Value| key_hash(&ColumnBatch::from_rows(1, &[vec![v]]), &[0], 0);
+        assert_eq!(one(Value::Int(2)), one(Value::Float(2.0)));
+        assert_eq!(one(Value::Float(0.0)), one(Value::Float(-0.0)));
+        assert_eq!(one(Value::Float(f64::NAN)), one(Value::Float(-f64::NAN)));
+        assert_ne!(one(Value::str("ab")), one(Value::str("ba")));
+    }
+
+    /// `Value` hashes ints through `f64`, so 2^53 and 2^53 + 1 collide
+    /// without being equal: the verify after every hash hit keeps them
+    /// apart in DISTINCT, in the join and in GROUP BY.
+    #[test]
+    fn colliding_keys_stay_apart() {
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        let batch = ColumnBatch::from_rows(1, &[vec![a.clone()], vec![b.clone()]]);
+        assert_eq!(key_hash(&batch, &[0], 0), key_hash(&batch, &[0], 1), "a forced collision");
+        assert_ne!(a, b);
+        let mut db = Database::new("collide");
+        for name in ["L", "R"] {
+            let mut s = RelationSchema::new(name);
+            s.add_attr("K", AttrType::Int).add_attr("V", AttrType::Int);
+            db.add_relation(s).unwrap();
+        }
+        for (k, v) in [(&a, 1), (&b, 2), (&a, 3)] {
+            db.insert("L", vec![k.clone(), Value::Int(v)]).unwrap();
+        }
+        db.insert("R", vec![b.clone(), Value::Int(9)]).unwrap();
+        for threads in [1, 2] {
+            let distinct = SelectStatement {
+                distinct: true,
+                items: items(&[("L", "K")]),
+                from: from(&["L"]),
+                ..Default::default()
+            };
+            assert_eq!(raw_rows(&distinct, &db, threads), vec![vec![a.clone()], vec![b.clone()]]);
+            let join = SelectStatement {
+                items: items(&[("L", "V"), ("R", "V")]),
+                from: from(&["L", "R"]),
+                predicates: vec![Predicate::JoinEq(col("L", "K"), col("R", "K"))],
+                ..Default::default()
+            };
+            assert_eq!(raw_rows(&join, &db, threads), vec![vec![Value::Int(2), Value::Int(9)]]);
+            let groups = SelectStatement {
+                items: vec![
+                    SelectItem::Column { col: col("L", "K"), alias: None },
+                    agg(AggFunc::Count, "L", "V"),
+                ],
+                from: from(&["L"]),
+                group_by: vec![col("L", "K")],
+                ..Default::default()
+            };
+            assert_eq!(
+                raw_rows(&groups, &db, threads),
+                vec![vec![a.clone(), Value::Int(2)], vec![b.clone(), Value::Int(1)]]
+            );
+        }
+    }
+
+    /// An Int key column joins a Float key column under `Value`
+    /// equality: 2 matches 2.0, 3 does not match 3.5.
+    #[test]
+    fn int_key_column_joins_float_key_column() {
+        let mut db = Database::new("mixed");
+        let mut s = RelationSchema::new("I");
+        s.add_attr("K", AttrType::Int);
+        db.add_relation(s).unwrap();
+        let mut s = RelationSchema::new("F");
+        s.add_attr("K", AttrType::Float).add_attr("W", AttrType::Text);
+        db.add_relation(s).unwrap();
+        for k in [1, 2, 3] {
+            db.insert("I", vec![Value::Int(k)]).unwrap();
+        }
+        for (k, w) in [(2.0, "two"), (3.5, "three and a half"), (2.0, "two again")] {
+            db.insert("F", vec![Value::Float(k), Value::str(w)]).unwrap();
+        }
+        let stmt = SelectStatement {
+            items: items(&[("I", "K"), ("F", "W")]),
+            from: from(&["I", "F"]),
+            predicates: vec![Predicate::JoinEq(col("I", "K"), col("F", "K"))],
+            ..Default::default()
+        };
+        for threads in [1, 2] {
+            assert_eq!(
+                sorted(raw_rows(&stmt, &db, threads)),
+                vec![
+                    vec![Value::Int(2), Value::str("two")],
+                    vec![Value::Int(2), Value::str("two again")],
+                ]
+            );
+        }
+    }
+
+    /// `0.0`/`-0.0` and NaN/NaN are one key in DISTINCT and GROUP BY;
+    /// DISTINCT keeps one all-NULL row, and NULL keys never join.
+    #[test]
+    fn zero_nan_and_null_keys() {
+        let t = vec![
+            row(Value::Float(0.0), Value::Null, Value::Null, 1),
+            row(Value::Float(f64::NAN), Value::Null, Value::Null, 2),
+            row(Value::Float(-0.0), Value::Null, Value::Null, 3),
+            row(Value::Float(-f64::NAN), Value::Null, Value::Null, 4),
+            row(Value::Null, Value::Null, Value::Null, 5),
+            row(Value::Null, Value::Null, Value::Null, 6),
+        ];
+        let db = keyed_db(&[("T", t.clone()), ("L", t.clone()), ("R", t)]);
+        for threads in [1, 2] {
+            let got = raw_rows(&distinct_stmt(&["K1", "K2", "D"]), &db, threads);
+            let want = vec![
+                vec![Value::Float(0.0), Value::Null, Value::Null],
+                vec![Value::Float(f64::NAN), Value::Null, Value::Null],
+                vec![Value::Null, Value::Null, Value::Null],
+            ];
+            assert_eq!(got, want);
+            let got = raw_rows(&group_stmt(&["K1"]), &db, threads);
+            let counts: Vec<Value> = got.iter().map(|r| r[1].clone()).collect();
+            assert_eq!(counts, [2, 2, 2].map(Value::Int));
+            // Every L row has a NULL K2, so nothing joins on (K1, K2);
+            // on K1 alone, 0.0 and NaN each match 2 x 2 rows.
+            assert!(raw_rows(&join_stmt(&["K1", "K2"]), &db, threads).is_empty());
+            assert_eq!(raw_rows(&join_stmt(&["K1"]), &db, threads).len(), 8);
+        }
+    }
+
+    /// xorshift64*, for the fixed-seed differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+
+        /// A K1, K2, D, V row: K1 mixes Int, Float, ±0.0, NaN and NULL.
+        fn row(&mut self) -> Row {
+            let k1 = match self.below(10) {
+                0 => Value::Null,
+                1 => Value::Float(0.0),
+                2 => Value::Float(-0.0),
+                3 => Value::Float(f64::NAN),
+                4..=6 => Value::Int(self.below(40) as i64),
+                _ => Value::Float(self.below(40) as f64),
+            };
+            let k2 = match self.below(6) {
+                0 => Value::Null,
+                n => Value::str(["a", "b", "c", "d", "e"][n as usize - 1]),
+            };
+            let d = match self.below(3) {
+                0 => Value::Null,
+                n => Value::Date(aqks_relational::Date::new(2020, n as u8, 1)),
+            };
+            let v = match self.below(8) {
+                0 => Value::Null,
+                _ => Value::Int(self.below(100) as i64),
+            };
+            vec![k1, k2, d, v]
+        }
+    }
+
+    /// Distinct, HashJoin and HashAggregate against naive references
+    /// (a hash set of rows, a nested loop, a `BTreeMap` grouping) on mixed
+    /// Int/Float/Str/Date/NULL keys at 1 and 2 threads, large enough for
+    /// the parallel kernels to run.
+    #[test]
+    fn key_operators_match_naive_references() {
+        use std::collections::BTreeMap;
+        let mut rng = Rng(0x5eed_1234_abcd_0042);
+        let t: Vec<Row> = (0..5000).map(|_| rng.row()).collect();
+        let l: Vec<Row> = (0..4200).map(|_| rng.row()).collect();
+        let r: Vec<Row> = (0..4200).map(|_| rng.row()).collect();
+        let db = keyed_db(&[("T", t.clone()), ("L", l.clone()), ("R", r.clone())]);
+
+        // DISTINCT: first-seen order.
+        let mut seen = HashSet::new();
+        let want_distinct: Vec<Row> =
+            t.iter().map(|x| x[..3].to_vec()).filter(|k| seen.insert(k.clone())).collect();
+        // Join on (K1, K2): NULL never matches.
+        let mut want_join = Vec::new();
+        for x in &l {
+            for y in &r {
+                if (0..2).all(|k| !x[k].is_null() && x[k] == y[k]) {
+                    let pick = |z: &Row| vec![z[0].clone(), z[1].clone(), z[3].clone()];
+                    want_join.push([pick(x), pick(y)].concat());
+                }
+            }
+        }
+        // GROUP BY (K1, K2): groups in first-appearance order.
+        let mut index: BTreeMap<Row, usize> = BTreeMap::new();
+        let mut groups: Vec<(Row, Vec<Value>)> = Vec::new();
+        for x in &t {
+            let key = vec![x[0].clone(), x[1].clone()];
+            let g = *index.entry(key.clone()).or_insert_with(|| {
+                groups.push((key, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(x[3].clone());
+        }
+        let want_groups: Vec<Row> = groups
+            .into_iter()
+            .map(|(mut key, vs)| {
+                let vs: Vec<&Value> = vs.iter().filter(|v| !v.is_null()).collect();
+                key.push(Value::Int(vs.len() as i64));
+                key.push(vs.iter().min().map_or(Value::Null, |v| (*v).clone()));
+                key.push(vs.iter().max().map_or(Value::Null, |v| (*v).clone()));
+                key
+            })
+            .collect();
+        assert!(want_join.len() > 1000 && want_groups.len() > 50, "a non-trivial fixture");
+
+        for threads in [1, 2] {
+            assert_eq!(raw_rows(&distinct_stmt(&["K1", "K2", "D"]), &db, threads), want_distinct);
+            assert_eq!(
+                sorted(raw_rows(&join_stmt(&["K1", "K2"]), &db, threads)),
+                sorted(want_join.clone()),
+                "threads={threads}"
+            );
+            assert_eq!(raw_rows(&group_stmt(&["K1", "K2"]), &db, threads), want_groups);
+        }
+    }
+
+    /// A scan under a projection builds only the projected columns (the
+    /// explain note says how many), and a scan alone builds them all.
+    #[test]
+    fn scans_build_only_the_columns_their_consumer_reads() {
+        let t = vec![row(Value::Int(1), Value::str("a"), Value::Null, 1)];
+        let db = keyed_db(&[("T", t)]);
+        let note_of_scan = |stmt: &SelectStatement| {
+            let p = plan(stmt, &db).unwrap();
+            let (_, stats) = run_plan(&p, &db).unwrap();
+            let mut note = None;
+            p.visit(&mut |n| {
+                if matches!(n.op, PlanOp::Scan { .. }) {
+                    note = stats.ops[n.id].note.clone();
+                }
+            });
+            note
+        };
+        assert_eq!(note_of_scan(&distinct_stmt(&["K2"])).as_deref(), Some("cols=1/4"));
+        assert_eq!(note_of_scan(&group_stmt(&["K1"])).as_deref(), Some("cols=4/4"));
     }
 }
