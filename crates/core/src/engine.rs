@@ -422,7 +422,7 @@ impl Engine {
                     &self.options.translate,
                 )?;
                 let sql = if self.view.is_some() && !self.options.skip_rewrites {
-                    rewrite(&t.stmt, &t.derived_keys, &self.db.schema(), &self.options.rewrite)
+                    rewrite(&t.stmt, &t.derived_keys, &self.original_schema, &self.options.rewrite)
                 } else {
                     t.stmt
                 };

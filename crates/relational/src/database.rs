@@ -1,30 +1,68 @@
 //! A database: a set of named tables plus whole-database integrity checks.
 
+use std::any::Any;
 use std::collections::HashSet;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{Error, Result};
 use crate::schema::{DatabaseSchema, RelationSchema};
 use crate::table::{Row, Table};
 use crate::value::Value;
 
+/// A value derived from a database's contents, type-erased so that a
+/// layer above this crate (the executor's column batches) can keep it.
+pub type Memoized = Arc<dyn Any + Send + Sync>;
+
 /// An in-memory relational database.
-#[derive(Debug, Clone)]
+///
+/// It also carries a memo of *projections*: values a caller derived
+/// from one relation projected onto some of its columns, with no
+/// predicate, such as the executor's `SELECT DISTINCT <cols> FROM R`
+/// relations of the normalized view D′. They depend only on the stored
+/// data, so every `&mut self` method clears the memo, a clone starts
+/// with an empty one, and `Debug` leaves it out. Its size is capped at
+/// [`Database::total_cells`].
 pub struct Database {
     /// Human-readable database name (used in logs and dumps).
     pub name: String,
     tables: Vec<Table>,
+    memo: RwLock<Memo>,
+}
+
+/// The projection memo: entries keyed by `(table index, columns)`, and
+/// the cells (rows × columns) they hold.
+#[derive(Default)]
+struct Memo {
+    entries: Vec<(usize, Vec<usize>, Memoized)>,
+    cells: u64,
+}
+
+impl Clone for Database {
+    fn clone(&self) -> Self {
+        Database { name: self.name.clone(), tables: self.tables.clone(), memo: RwLock::default() }
+    }
+}
+
+impl std::fmt::Debug for Database {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Database")
+            .field("name", &self.name)
+            .field("tables", &self.tables)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Database {
     /// Creates an empty database.
     pub fn new(name: impl Into<String>) -> Self {
-        Database { name: name.into(), tables: Vec::new() }
+        Database { name: name.into(), tables: Vec::new(), memo: RwLock::default() }
     }
 
     /// Adds a relation. The schema is validated in isolation here;
     /// cross-relation FK targets are validated by [`Database::validate`]
     /// once all relations are present.
     pub fn add_relation(&mut self, schema: RelationSchema) -> Result<()> {
+        self.forget();
         schema.validate()?;
         if self.table(&schema.name).is_some() {
             return Err(Error::DuplicateRelation(schema.name));
@@ -54,6 +92,7 @@ impl Database {
 
     /// Inserts one tuple into `relation`.
     pub fn insert(&mut self, relation: &str, row: Row) -> Result<()> {
+        self.forget();
         self.table_mut(relation)
             .ok_or_else(|| Error::UnknownRelation(relation.to_string()))?
             .insert(row)
@@ -127,6 +166,7 @@ impl Database {
     /// they may be accidental (see `discover::tests`). Intended for
     /// unnormalized databases whose schema declares no FDs.
     pub fn discover_and_declare_fds(&mut self, opts: &crate::discover::DiscoveryOptions) -> usize {
+        self.forget();
         let mut added = 0;
         for table in &mut self.tables {
             let discovered = crate::discover::discover_fds(table, opts);
@@ -139,6 +179,55 @@ impl Database {
             }
         }
         added
+    }
+
+    /// Cells (rows × columns) over all base tables: the cap on the
+    /// projection memo.
+    pub fn total_cells(&self) -> u64 {
+        self.tables.iter().map(|t| (t.len() * t.schema.attrs.len()) as u64).sum()
+    }
+
+    /// The value memoized for `relation` projected onto `cols` by
+    /// [`Database::memoize_projection`], if any.
+    pub fn memoized_projection(&self, relation: &str, cols: &[usize]) -> Option<Memoized> {
+        let rel = self.tables.iter().position(|t| t.schema.is_named(relation))?;
+        let memo = self.memo.read().unwrap_or_else(PoisonError::into_inner);
+        memo.entries.iter().find(|(r, c, _)| *r == rel && c == cols).map(|(_, _, v)| Arc::clone(v))
+    }
+
+    /// Memoizes `value`, derived from `relation` projected onto `cols`
+    /// and holding `cells` cells. Nothing is kept when the key already
+    /// has a value (it derives from the same data) or when the memo
+    /// would outgrow [`Database::total_cells`]. Returns whether `value`
+    /// was kept.
+    pub fn memoize_projection(
+        &self,
+        relation: &str,
+        cols: &[usize],
+        value: Memoized,
+        cells: u64,
+    ) -> bool {
+        let Some(rel) = self.tables.iter().position(|t| t.schema.is_named(relation)) else {
+            return false;
+        };
+        let cap = self.total_cells();
+        let mut memo = self.memo.write().unwrap_or_else(PoisonError::into_inner);
+        if memo.cells + cells > cap || memo.entries.iter().any(|(r, c, _)| *r == rel && c == cols) {
+            return false;
+        }
+        memo.entries.push((rel, cols.to_vec(), value));
+        memo.cells += cells;
+        true
+    }
+
+    /// Cells held by the projection memo.
+    pub fn memo_cells(&self) -> u64 {
+        self.memo.read().unwrap_or_else(PoisonError::into_inner).cells
+    }
+
+    /// Clears the projection memo: the data it derives from may change.
+    fn forget(&mut self) {
+        *self.memo.get_mut().unwrap_or_else(PoisonError::into_inner) = Memo::default();
     }
 }
 
@@ -203,5 +292,38 @@ mod tests {
     fn unknown_relation_on_insert() {
         let mut db = two_relation_db();
         assert!(matches!(db.insert("Nope", vec![]), Err(Error::UnknownRelation(_))));
+    }
+
+    /// Every `&mut self` method drops the projection memo; a clone starts
+    /// without it; the memo never outgrows the base tables' cells.
+    #[test]
+    fn projection_memo_lives_with_the_data() {
+        let mut db = two_relation_db();
+        db.insert("Student", vec![Value::str("s1"), Value::str("George")]).unwrap();
+        assert_eq!(db.total_cells(), 2);
+        let memo =
+            |db: &Database, cells| db.memoize_projection("student", &[0], Arc::new(()), cells);
+        assert!(!memo(&db, 3), "over the cap");
+        assert!(memo(&db, 1));
+        assert!(!memo(&db, 1), "one value per key");
+        assert!(db.memoized_projection("Student", &[0]).is_some());
+        assert!(db.memoized_projection("Student", &[1]).is_none());
+        assert_eq!((db.memo_cells(), db.clone().memo_cells()), (1, 0));
+        assert!(!format!("{db:?}").contains("memo"));
+        let mutations: [fn(&mut Database); 4] = [
+            |db| db.insert("Student", vec![Value::str("s2"), Value::str("Anna")]).unwrap(),
+            |db| db.insert_all("Enrol", [vec![Value::str("s1"), Value::str("c1")]]).unwrap(),
+            |db| db.add_relation(RelationSchema::new("Course")).unwrap(),
+            |db| {
+                db.discover_and_declare_fds(&crate::discover::DiscoveryOptions::default());
+            },
+        ];
+        for mutate in mutations {
+            memo(&db, 1);
+            assert_eq!(db.memo_cells(), 1);
+            mutate(&mut db);
+            assert_eq!(db.memo_cells(), 0);
+            assert!(db.memoized_projection("Student", &[0]).is_none());
+        }
     }
 }

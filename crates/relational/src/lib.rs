@@ -4,7 +4,8 @@
 //!
 //! The relational substrate for the `aqks` keyword-search system: an
 //! in-memory relational database with typed values, declared primary and
-//! foreign keys, declared functional dependencies, a term-match index, and
+//! foreign keys, declared functional dependencies, a term-match index, a
+//! memo of predicate-free projections derived from the data, and
 //! the normalization theory (attribute closures, candidate keys, 2NF/3NF
 //! tests, Bernstein-style 3NF synthesis) needed to handle *unnormalized*
 //! databases per Section 4 of the paper.
@@ -42,7 +43,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use database::Database;
+pub use database::{Database, Memoized};
 pub use discover::{discover_fds, DiscoveryOptions};
 pub use error::{Error, Result};
 pub use fd::{Fd, FdSet};

@@ -14,6 +14,14 @@
 //! it copies just the projected columns out of the base rows, and the
 //! projection passes its batches on.
 //!
+//! A predicate-free `Distinct(Project(Scan R))` — a relation of the
+//! normalized view D′ — depends only on the data, so the [`Database`]
+//! memoizes it under `(R, projected columns)`: the first run that drains
+//! it to end-of-stream and succeeds stores the batches `Distinct`
+//! emitted, and later runs replay them through `CachedRows`, reporting
+//! the per-operator rows and batches recorded when it was computed
+//! (`explain --analyze` notes the subtree `[memo]`).
+//!
 //! Distinct, the hash join and the aggregate key one kind of hash table,
 //! `KeyTable`: `key_hash` hashes a row's key straight from the typed
 //! columns with a fixed multiplicative hasher, consistent with
@@ -281,8 +289,9 @@ impl Operator for Guarded<'_> {
 }
 
 /// Replays batches materialized once by a shared subplan (see
-/// `aqks-equiv`): the consumer site's whole subtree is replaced by this
-/// operator, so the shared work executes exactly once per set. Because
+/// `aqks-equiv`) or memoized on the database (see [`MemoEntry`]): the
+/// consumer site's whole subtree is replaced by this operator, so the
+/// shared work executes exactly once per set. Because
 /// batches share their columns behind `Arc`s, re-emitting them is a
 /// handful of reference-count bumps per consumer — O(consumers), not
 /// O(consumers x rows). The shim stack above (metering, budget
@@ -292,15 +301,40 @@ struct CachedRows {
     batches: Arc<Vec<ColumnBatch>>,
     rows: u64,
     pos: usize,
+    /// A memo replay: its entry, the plan ids of the nodes below the
+    /// replayed one, and the stats it reports them into.
+    memo: Option<(Arc<MemoEntry>, [usize; 2], StatsCell)>,
+}
+
+impl CachedRows {
+    fn new(batches: Arc<Vec<ColumnBatch>>) -> CachedRows {
+        let rows = batches.iter().map(|b| b.len() as u64).sum();
+        CachedRows { batches, rows, pos: 0, memo: None }
+    }
 }
 
 impl Operator for CachedRows {
     fn open(&mut self) -> Result<(), ExecError> {
         self.pos = 0;
+        if let Some((_, below, stats)) = &self.memo {
+            let mut ops = par::relock(stats);
+            for &id in below {
+                ops[id].note = Some("memo".into());
+            }
+        }
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
+        if let Some((entry, below, stats)) = &self.memo {
+            // The nodes below report what they had emitted when the
+            // computed `Distinct` returned the same call's result.
+            let reached = entry.below[self.pos.min(self.batches.len())];
+            let mut ops = par::relock(stats);
+            for (&id, (rows, batches)) in below.iter().zip(reached) {
+                (ops[id].rows_out, ops[id].batches) = (rows, batches);
+            }
+        }
         if self.pos >= self.batches.len() {
             return Ok(None);
         }
@@ -312,11 +346,90 @@ impl Operator for CachedRows {
     fn close(&mut self) {}
 
     fn note(&self) -> Option<String> {
-        Some(format!("cached rows={}", self.rows))
+        Some(if self.memo.is_some() { "memo".into() } else { format!("cached rows={}", self.rows) })
     }
 
     fn mem_bytes(&self) -> u64 {
-        self.batches.iter().map(ColumnBatch::byte_size).sum()
+        // A memo replay holds no state of its own: the database does.
+        match self.memo {
+            Some(_) => 0,
+            None => self.batches.iter().map(ColumnBatch::byte_size).sum(),
+        }
+    }
+}
+
+/// A predicate-free `Distinct(Project(Scan R))` — a relation of the
+/// normalized view D′, or any `SELECT DISTINCT <cols> FROM R` — whose
+/// result depends only on the database, which therefore memoizes it
+/// under `(R, cols)`.
+#[derive(Clone, Copy)]
+struct MemoSite<'a> {
+    relation: &'a str,
+    cols: &'a [usize],
+    /// Plan ids of the Project and the Scan.
+    below: [usize; 2],
+}
+
+/// The memo site `node` heads, unless `shared` replays any node of it.
+fn memo_site<'a>(node: &'a PlanNode, shared: &SharedRows) -> Option<MemoSite<'a>> {
+    let (PlanOp::Distinct, [project]) = (&node.op, node.children.as_slice()) else {
+        return None;
+    };
+    let (PlanOp::Project { cols, .. }, [scan]) = (&project.op, project.children.as_slice()) else {
+        return None;
+    };
+    let PlanOp::Scan { relation, pushed, .. } = &scan.op else {
+        return None;
+    };
+    let ids = [node.id, project.id, scan.id];
+    (pushed.is_empty() && !ids.iter().any(|id| shared.contains_key(id))).then_some(MemoSite {
+        relation,
+        cols,
+        below: [project.id, scan.id],
+    })
+}
+
+/// What the database memoizes for a [`MemoSite`]: the batches its
+/// `Distinct` emitted, and, after each of its `next` calls, the
+/// `(rows_out, batches)` its Project and Scan had reached — entry `k`
+/// after the call that returned batch `k`, the last after end-of-stream.
+/// A replay reports these, so per-operator rows and batches are the
+/// same whether a site was computed or replayed.
+struct MemoEntry {
+    batches: Arc<Vec<ColumnBatch>>,
+    below: Vec<[(u64, u64); 2]>,
+}
+
+/// The `(rows_out, batches)` of a memo site's Project and Scan so far.
+fn below_metrics(stats: &StatsCell, site: &MemoSite<'_>) -> [(u64, u64); 2] {
+    let ops = par::relock(stats);
+    site.below.map(|id| (ops[id].rows_out, ops[id].batches))
+}
+
+/// Memo entries completed during one plan run, inserted into the
+/// database only once the whole run has succeeded.
+type Captured<'a> = Arc<Mutex<Vec<(MemoSite<'a>, MemoEntry)>>>;
+
+/// What a `Distinct` heading a memo site that missed records for the
+/// memo: [`below_metrics`] after each batch it emits. At end-of-stream
+/// its emitted batches complete the entry, which goes to the run's
+/// [`Captured`] list; a consumer that stops early leaves it incomplete.
+struct MemoCapture<'a> {
+    site: MemoSite<'a>,
+    stats: StatsCell,
+    below: Vec<[(u64, u64); 2]>,
+    captured: Captured<'a>,
+}
+
+impl MemoCapture<'_> {
+    fn record(&mut self) {
+        self.below.push(below_metrics(&self.stats, &self.site));
+    }
+
+    fn finish(mut self, emitted: &[ColumnBatch]) {
+        self.record();
+        let entry = MemoEntry { batches: Arc::new(emitted.to_vec()), below: self.below };
+        par::relock(&self.captured).push((self.site, entry));
     }
 }
 
@@ -1453,6 +1566,8 @@ struct Distinct<'a> {
     kept_bytes: u64,
     /// Every column of the input: the whole row is the key.
     cols: Vec<usize>,
+    /// Set when this `Distinct` heads a memo site that missed.
+    capture: Option<MemoCapture<'a>>,
 }
 
 impl Operator for Distinct<'_> {
@@ -1493,7 +1608,13 @@ impl Operator for Distinct<'_> {
             let out = if fresh.len() == batch.len() { batch } else { batch.gather(&fresh) };
             self.kept_bytes += out.byte_size();
             self.kept.push(out.clone());
+            if let Some(capture) = &mut self.capture {
+                capture.record();
+            }
             return Ok(Some(out));
+        }
+        if let Some(capture) = self.capture.take() {
+            capture.finish(&self.kept);
         }
         Ok(None)
     }
@@ -1618,38 +1739,44 @@ const _: () = {
     assert_send_sync::<OpMetrics>();
 };
 
-fn build<'a>(
-    node: &'a PlanNode,
+/// What every node of one plan run is built with.
+struct BuildCx<'a> {
     db: &'a Database,
-    stats: &StatsCell,
+    stats: StatsCell,
+    /// Whether a budget governor is installed (see [`Guarded`]).
     governed: bool,
-    shared: &SharedRows,
+    shared: &'a SharedRows,
     opts: ExecOptions,
-) -> Result<Metered<'a>, ExecError> {
-    if let Some(batches) = shared.get(&node.id) {
-        let rows = batches.iter().map(|b| b.len() as u64).sum();
-        let inner: Box<dyn Operator + 'a> =
-            Box::new(CachedRows { batches: Arc::clone(batches), rows, pos: 0 });
-        let inner: Box<dyn Operator + 'a> =
-            if governed { Box::new(Guarded { site: "ops.Cached", inner }) } else { inner };
-        return Ok(Metered { id: node.id, stats: stats.clone(), inner });
+    captured: Captured<'a>,
+}
+
+fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecError> {
+    if let Some(batches) = cx.shared.get(&node.id) {
+        return Ok(replay(node, CachedRows::new(Arc::clone(batches)), cx));
     }
+    let site = memo_site(node, cx.shared);
+    if let Some(site) = &site {
+        let hit = cx.db.memoized_projection(site.relation, site.cols);
+        if let Some(entry) = hit.and_then(|v| v.downcast::<MemoEntry>().ok()) {
+            MEMO_HITS.add(1);
+            let mut cached = CachedRows::new(Arc::clone(&entry.batches));
+            cached.memo = Some((entry, site.below, cx.stats.clone()));
+            return Ok(replay(node, cached, cx));
+        }
+        MEMO_MISSES.add(1);
+    }
+    let child = |i: usize| build(&node.children[i], cx);
     let inner: Box<dyn Operator + 'a> = match &node.op {
-        PlanOp::Scan { relation, pushed, .. } => scan(relation, pushed, db, opts, None)?,
-        PlanOp::DerivedTable { .. } => Box::new(Passthrough {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-        }),
-        PlanOp::Filter { preds } => Box::new(Filter {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            preds,
-        }),
+        PlanOp::Scan { relation, pushed, .. } => scan(relation, pushed, cx, None)?,
+        PlanOp::DerivedTable { .. } => Box::new(Passthrough { child: child(0)? }),
+        PlanOp::Filter { preds } => Box::new(Filter { child: child(0)?, preds }),
         PlanOp::HashJoin { left_keys, right_keys, build_left } => Box::new(HashJoin {
-            left: build(&node.children[0], db, stats, governed, shared, opts)?,
-            right: build(&node.children[1], db, stats, governed, shared, opts)?,
+            left: child(0)?,
+            right: child(1)?,
             left_keys,
             right_keys,
             build_left: *build_left,
-            threads: opts.threads,
+            threads: cx.opts.threads,
             gov: None,
             build: None,
             out: None,
@@ -1659,17 +1786,14 @@ fn build<'a>(
             par_threads: 0,
             par_wall: Duration::ZERO,
         }),
-        PlanOp::CrossJoin => Box::new(CrossJoin {
-            left: build(&node.children[0], db, stats, governed, shared, opts)?,
-            right: build(&node.children[1], db, stats, governed, shared, opts)?,
-            buffer: None,
-            current: None,
-        }),
+        PlanOp::CrossJoin => {
+            Box::new(CrossJoin { left: child(0)?, right: child(1)?, buffer: None, current: None })
+        }
         PlanOp::HashAggregate { group, items, .. } => Box::new(HashAggregate {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
+            child: child(0)?,
             group,
             items,
-            threads: opts.threads,
+            threads: cx.opts.threads,
             output: Vec::new(),
             emitted: 0,
             in_rows: 0,
@@ -1685,50 +1809,56 @@ fn build<'a>(
             // the projection passes its batches on; both nodes stay
             // metered, so their rows and batches are unchanged.
             let (child, cols) = match &input.op {
-                PlanOp::Scan { relation, pushed, .. } if !shared.contains_key(&input.id) => {
-                    let inner = scan(relation, pushed, db, opts, Some(cols))?;
-                    (metered(input, inner, stats, governed), None)
+                PlanOp::Scan { relation, pushed, .. } if !cx.shared.contains_key(&input.id) => {
+                    (metered(input, scan(relation, pushed, cx, Some(cols))?, cx), None)
                 }
-                _ => (build(input, db, stats, governed, shared, opts)?, Some(cols.as_slice())),
+                _ => (child(0)?, Some(cols.as_slice())),
             };
             Box::new(Project { child, cols })
         }
         PlanOp::Distinct => Box::new(Distinct {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
+            child: child(0)?,
             seen: KeyTable::default(),
             rows: Vec::new(),
             kept: Vec::new(),
             kept_bytes: 0,
             cols: Vec::new(),
+            capture: site.map(|site| MemoCapture {
+                site,
+                stats: cx.stats.clone(),
+                below: Vec::new(),
+                captured: Arc::clone(&cx.captured),
+            }),
         }),
         PlanOp::Sort { keys } => Box::new(Sort {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
+            child: child(0)?,
             keys,
             width: 0,
             buffer: Vec::new(),
             in_bytes: 0,
             emitted: 0,
         }),
-        PlanOp::Limit { n } => Box::new(Limit {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            remaining: *n,
-        }),
+        PlanOp::Limit { n } => Box::new(Limit { child: child(0)?, remaining: *n }),
     };
-    Ok(metered(node, inner, stats, governed))
+    Ok(metered(node, inner, cx))
+}
+
+/// `node` as a replay of cached batches, budgeted at the `ops.Cached`
+/// site.
+fn replay<'a>(node: &PlanNode, cached: CachedRows, cx: &BuildCx<'a>) -> Metered<'a> {
+    let inner: Box<dyn Operator + 'a> = Box::new(cached);
+    let inner: Box<dyn Operator + 'a> =
+        if cx.governed { Box::new(Guarded { site: "ops.Cached", inner }) } else { inner };
+    Metered { id: node.id, stats: cx.stats.clone(), inner }
 }
 
 /// Wraps `node`'s operator in its shims. Budget enforcement sits inside
 /// the metering shim so governed wall time is attributed to the operator
 /// it bounds.
-fn metered<'a>(
-    node: &PlanNode,
-    inner: Box<dyn Operator + 'a>,
-    stats: &StatsCell,
-    governed: bool,
-) -> Metered<'a> {
+fn metered<'a>(node: &PlanNode, inner: Box<dyn Operator + 'a>, cx: &BuildCx<'a>) -> Metered<'a> {
     let inner: Box<dyn Operator + 'a> =
-        if governed { Box::new(Guarded { site: guard_site(&node.op), inner }) } else { inner };
-    Metered { id: node.id, stats: stats.clone(), inner }
+        if cx.governed { Box::new(Guarded { site: guard_site(&node.op), inner }) } else { inner };
+    Metered { id: node.id, stats: cx.stats.clone(), inner }
 }
 
 /// The scan of `relation`, building output columns `cols` (every column
@@ -1736,17 +1866,16 @@ fn metered<'a>(
 fn scan<'a>(
     relation: &str,
     pushed: &'a [PhysPred],
-    db: &'a Database,
-    opts: ExecOptions,
+    cx: &BuildCx<'a>,
     cols: Option<&[usize]>,
 ) -> Result<Box<dyn Operator + 'a>, ExecError> {
-    let table = db.table(relation).ok_or_else(|| ExecError::UnknownRelation(relation.into()))?;
+    let table = cx.db.table(relation).ok_or_else(|| ExecError::UnknownRelation(relation.into()))?;
     let width = table.schema.attrs.len();
     Ok(Box::new(Scan {
         rows: table.rows(),
         preds: pushed,
         cols: cols.map_or_else(|| (0..width).collect(), <[usize]>::to_vec),
-        threads: opts.threads,
+        threads: cx.opts.threads,
         width,
         gov: None,
         morsel: 0,
@@ -1804,11 +1933,17 @@ pub fn materialize_batches(
     opts: ExecOptions,
 ) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
     let t0 = Instant::now();
-    let stats: StatsCell = Arc::new(Mutex::new(vec![OpMetrics::default(); plan.max_id() + 1]));
-    // One ambient probe per plan: ungoverned runs skip the Guarded shims
-    // entirely, keeping the default path free.
-    let governed = aqks_guard::current().is_some();
-    let mut root = build(plan, db, &stats, governed, shared, opts)?;
+    let cx = BuildCx {
+        db,
+        stats: Arc::new(Mutex::new(vec![OpMetrics::default(); plan.max_id() + 1])),
+        // One ambient probe per plan: ungoverned runs skip the Guarded
+        // shims entirely, keeping the default path free.
+        governed: aqks_guard::current().is_some(),
+        shared,
+        opts,
+        captured: Captured::default(),
+    };
+    let mut root = build(plan, &cx)?;
     root.open()?;
     let mut batches: Vec<ColumnBatch> = Vec::new();
     while let Some(batch) = root.next()? {
@@ -1819,7 +1954,17 @@ pub fn materialize_batches(
     root.close();
     drop(root);
 
-    let mut ops = Arc::try_unwrap(stats)
+    // The run succeeded: memoize the sites it computed to end-of-stream.
+    let captured = std::mem::take(&mut *par::relock(&cx.captured));
+    if !captured.is_empty() {
+        for (site, entry) in captured {
+            let rows: u64 = entry.batches.iter().map(|b| b.len() as u64).sum();
+            let cells = rows * site.cols.len() as u64;
+            db.memoize_projection(site.relation, site.cols, Arc::new(entry), cells);
+        }
+        MEMO_CELLS.set(db.memo_cells() as i64);
+    }
+    let mut ops = Arc::try_unwrap(cx.stats)
         .map(|m| m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
         .unwrap_or_else(|arc| par::relock(&arc).clone());
     // rows-in is the sum of each node's children's rows-out (zero below
@@ -1862,6 +2007,11 @@ static OP_WALL_NS: aqks_obs::LabeledHistogram =
     aqks_obs::LabeledHistogram::new("aqks_ops_wall_ns", "op", aqks_obs::Unit::Nanos);
 static OP_PEAK_BYTES: aqks_obs::LabeledHistogram =
     aqks_obs::LabeledHistogram::new("aqks_ops_peak_bytes", "op", aqks_obs::Unit::Bytes);
+/// Memo sites replayed from, and computed for, the database's memo.
+static MEMO_HITS: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_memo_hits");
+static MEMO_MISSES: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_memo_misses");
+/// Cells held by the memo of the database a run last filled.
+static MEMO_CELLS: aqks_obs::Gauge = aqks_obs::Gauge::new("aqks_exec_memo_cells");
 
 /// Short operator name for trace spans (the EXPLAIN label minus its
 /// plan-specific detail, so span names are stable across queries).
@@ -2770,5 +2920,146 @@ mod tests {
         };
         assert_eq!(note_of_scan(&distinct_stmt(&["K2"])).as_deref(), Some("cols=1/4"));
         assert_eq!(note_of_scan(&group_stmt(&["K1"])).as_deref(), Some("cols=4/4"));
+    }
+
+    // -----------------------------------------------------------------
+    // Memoized projections
+    // -----------------------------------------------------------------
+
+    /// Per-operator `(rows_in, rows_out, batches)` and notes of one run.
+    type OpRows = Vec<(u64, u64, u64)>;
+
+    /// Output rows, per-operator rows and notes of one run of `stmt`.
+    fn memo_run(
+        stmt: &SelectStatement,
+        db: &Database,
+        threads: usize,
+    ) -> (Vec<Row>, OpRows, Vec<Option<String>>) {
+        let p = plan(stmt, db).unwrap();
+        let (t, stats) =
+            run_plan_opts(&p, db, &SharedRows::new(), ExecOptions::with_threads(threads)).unwrap();
+        let rows = stats.ops.iter().map(|m| (m.rows_in, m.rows_out, m.batches)).collect();
+        (t.rows, rows, stats.ops.into_iter().map(|m| m.note).collect())
+    }
+
+    /// 3000 rows of T with 1100 distinct `(K2, V)` pairs: the scan of
+    /// `SELECT DISTINCT T.K2, T.V` emits three batches and the Distinct
+    /// two, the last before the scan's third.
+    fn memo_db() -> Database {
+        let rows = (0..3000)
+            .map(|i| row(Value::Int(i), Value::str(format!("k{}", i % 2)), Value::Null, i % 1100))
+            .collect();
+        keyed_db(&[("T", rows)])
+    }
+
+    fn limited(mut stmt: SelectStatement, n: usize) -> SelectStatement {
+        stmt.limit = Some(n);
+        stmt
+    }
+
+    /// A warm run replays the memo at any thread count with the rows,
+    /// per-operator rows and batches of a cold run on a fresh copy, and
+    /// marks the replayed subtree `memo`.
+    #[test]
+    fn memo_replays_a_projection_with_the_metrics_it_was_computed_with() {
+        let db = memo_db();
+        let stmt = distinct_stmt(&["K2", "V"]);
+        let cold = memo_run(&stmt, &db, 4);
+        assert!(cold.2.iter().all(|n| n.as_deref() != Some("memo")));
+        assert_eq!(db.memo_cells(), 1100 * 2);
+        for threads in [1, 4] {
+            let warm = memo_run(&stmt, &db, threads);
+            assert_eq!((&warm.0, &warm.1), (&cold.0, &cold.1), "threads={threads}");
+            assert_eq!(warm.2.iter().filter(|n| n.as_deref() == Some("memo")).count(), 3);
+        }
+        assert_eq!(memo_run(&stmt, &db.clone(), 1).2, cold.2, "a clone starts cold");
+        let mut batches: Vec<u64> = cold.1.iter().map(|r| r.2).collect();
+        batches.sort();
+        assert_eq!(batches, [2, 3, 3], "Distinct, Project and Scan batches");
+    }
+
+    /// A consumer that stops early memoizes nothing; once the full
+    /// projection is memoized, a stopped replay reports what the stopped
+    /// computation reports.
+    #[test]
+    fn memo_fills_only_at_end_of_stream_and_replays_early_stops() {
+        let db = memo_db();
+        let stmt = distinct_stmt(&["K2", "V"]);
+        assert_eq!(memo_run(&limited(stmt.clone(), 1), &db, 1).0.len(), 1);
+        assert_eq!(db.memo_cells(), 0, "LIMIT stopped the Distinct early");
+        assert_eq!(memo_run(&stmt, &db, 1).0.len(), 1100, "every distinct value");
+        assert_eq!(db.memo_cells(), 1100 * 2);
+        for n in [1, 1024, 1100] {
+            let warm = memo_run(&limited(stmt.clone(), n), &db, 1);
+            let fresh = memo_run(&limited(stmt.clone(), n), &memo_db(), 1);
+            assert_eq!((warm.0, warm.1), (fresh.0, fresh.1), "LIMIT {n}");
+        }
+    }
+
+    /// Inserting into the database drops its memo; the next run sees
+    /// the new row.
+    #[test]
+    fn memo_is_dropped_by_insert() {
+        let mut db = memo_db();
+        let stmt = distinct_stmt(&["K2", "V"]);
+        memo_run(&stmt, &db, 1);
+        assert!(db.memo_cells() > 0);
+        db.insert("T", row(Value::Int(0), Value::str("new"), Value::Null, 0)).unwrap();
+        assert_eq!(db.memo_cells(), 0);
+        let (rows, _, notes) = memo_run(&stmt, &db, 1);
+        assert_eq!(rows.len(), 1101);
+        assert!(notes.iter().all(|n| n.as_deref() != Some("memo")));
+    }
+
+    /// A budget trip inside the projection memoizes nothing, and the next
+    /// unlimited run answers as a fresh database does.
+    #[test]
+    fn memo_skips_runs_that_trip_their_budget() {
+        let db = memo_db();
+        let stmt = distinct_stmt(&["K2", "V"]);
+        {
+            let gov =
+                aqks_guard::Governor::new(&aqks_guard::Budget::unlimited().with_max_rows(2000));
+            let _g = aqks_guard::install(&gov);
+            assert!(matches!(execute(&stmt, &db), Err(ExecError::Budget(_))));
+        }
+        assert_eq!(db.memo_cells(), 0);
+        let (rows, ops, _) = memo_run(&stmt, &db, 1);
+        assert_eq!((rows, ops), {
+            let fresh = memo_run(&stmt, &memo_db(), 1);
+            (fresh.0, fresh.1)
+        });
+    }
+
+    /// Projections that together outgrow the base table are computed
+    /// per run past the cap, with the same answers.
+    #[test]
+    fn memo_stays_within_the_cell_cap() {
+        let db = memo_db();
+        let all = distinct_stmt(&["K1", "K2", "D", "V"]);
+        memo_run(&all, &db, 1);
+        assert_eq!(db.memo_cells(), db.total_cells(), "every row is distinct");
+        let narrow = distinct_stmt(&["V"]);
+        for _ in 0..2 {
+            let (rows, _, notes) = memo_run(&narrow, &db, 1);
+            assert_eq!(rows.len(), 1100);
+            assert!(notes.iter().all(|n| n.as_deref() != Some("memo")), "over the cap");
+        }
+        assert_eq!(db.memo_cells(), db.total_cells());
+    }
+
+    /// A node the shared-subplan map replays is never memoized.
+    #[test]
+    fn shared_rows_win_over_the_memo() {
+        let db = memo_db();
+        let p = plan(&distinct_stmt(&["K2", "V"]), &db).unwrap();
+        let (batches, _) =
+            materialize_batches(&p, &memo_db(), &SharedRows::new(), ExecOptions::default())
+                .unwrap();
+        let shared: SharedRows = [(p.id, Arc::new(batches))].into();
+        let (t, stats) = run_plan_opts(&p, &db, &shared, ExecOptions::default()).unwrap();
+        assert_eq!(t.rows.len(), 1100);
+        assert_eq!(stats.ops[p.id].note.as_deref(), Some("cached rows=1100"));
+        assert_eq!(db.memo_cells(), 0);
     }
 }
