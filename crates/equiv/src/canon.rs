@@ -19,9 +19,10 @@
 //! - **Project collapsing** — `Project` over `Project` composes into
 //!   one.
 //! - **Estimate recomputation** — `est_rows` and hash-join build sides
-//!   are recomputed bottom-up from canonical structure alone, so two
-//!   structurally identical canonical trees always agree on the
-//!   build-side bit the fingerprint includes.
+//!   are recomputed bottom-up from canonical structure alone, with the
+//!   planner's own estimate functions, so two structurally identical
+//!   canonical trees always agree on the build-side bit the fingerprint
+//!   includes.
 //!
 //! Every rewrite is *certified*: the rewritten subtree's inferred
 //! properties (output schema and provenance, functional dependencies,
@@ -35,7 +36,9 @@
 use aqks_plancheck::props::{infer, NodeProps};
 use aqks_plancheck::{fingerprint, verify};
 use aqks_relational::Database;
-use aqks_sqlgen::{PhysAggItem, PhysPred, PlanNode, PlanOp};
+use aqks_sqlgen::{
+    filter_estimate, join_estimate, scan_estimate, PhysAggItem, PhysPred, PlanNode, PlanOp,
+};
 
 use crate::EquivError;
 
@@ -175,7 +178,7 @@ fn rebuild(
         PlanOp::Scan { relation, alias, pushed } => {
             let mut preds = pushed.clone();
             normalize_preds(&mut preds);
-            let est = scan_est(db, relation, preds.len(), node.est_rows);
+            let est = scan_estimate(relation, preds.len(), db).unwrap_or(node.est_rows);
             let op =
                 PlanOp::Scan { relation: relation.clone(), alias: alias.clone(), pushed: preds };
             let n = node.cols.len();
@@ -212,7 +215,7 @@ fn rebuild(
             let perm = join_perm(swap, a.cols.len(), perms);
             let mut cols = a.cols.clone();
             cols.extend(b.cols.iter().cloned());
-            let est = a.est_rows.max(b.est_rows);
+            let est = join_estimate(&a, &b, Some((&lk, &rk)), db);
             let build_left = a.est_rows < b.est_rows;
             let op = PlanOp::HashJoin { left_keys: lk, right_keys: rk, build_left };
             (
@@ -229,7 +232,7 @@ fn rebuild(
             let perm = join_perm(swap, a.cols.len(), perms);
             let mut cols = a.cols.clone();
             cols.extend(b.cols.iter().cloned());
-            let est = a.est_rows.saturating_mul(b.est_rows);
+            let est = join_estimate(&a, &b, None, db);
             (
                 mk(PlanOp::CrossJoin, vec![a, b], cols, est),
                 perm,
@@ -251,7 +254,7 @@ fn rebuild(
                 (child, pc, "filter-pushdown")
             } else {
                 normalize_preds(&mut remaining);
-                let est = discount_n(child.est_rows, remaining.len());
+                let est = filter_estimate(child.est_rows, remaining.len());
                 let cols = child.cols.clone();
                 let op = PlanOp::Filter { preds: remaining };
                 (mk(op, vec![child], cols, est), pc, "filter-pushdown")
@@ -337,11 +340,9 @@ fn join_perm(swap: bool, na: usize, perms: &[Vec<usize>]) -> Vec<usize> {
 fn try_push(node: &mut PlanNode, pred: &PhysPred, db: &Database) -> bool {
     if matches!(node.op, PlanOp::Scan { .. }) {
         if let PlanOp::Scan { relation, pushed, .. } = &mut node.op {
-            let relation = relation.clone();
             pushed.push(pred.clone());
             normalize_preds(pushed);
-            let n = pushed.len();
-            node.est_rows = scan_est(db, &relation, n, node.est_rows);
+            node.est_rows = scan_estimate(relation, pushed.len(), db).unwrap_or(node.est_rows);
         }
         return true;
     }
@@ -351,7 +352,7 @@ fn try_push(node: &mut PlanNode, pred: &PhysPred, db: &Database) -> bool {
             preds.push(pred.clone());
             normalize_preds(preds);
             let n = preds.len();
-            node.est_rows = discount_n(child_est, n);
+            node.est_rows = filter_estimate(child_est, n);
         }
         return true;
     }
@@ -366,11 +367,16 @@ fn try_push(node: &mut PlanNode, pred: &PhysPred, db: &Database) -> bool {
             false
         };
         if pushed {
-            let (l, r) = (node.children[0].est_rows, node.children[1].est_rows);
-            node.est_rows =
-                if matches!(node.op, PlanOp::CrossJoin) { l.saturating_mul(r) } else { l.max(r) };
+            let (l, r) = (&node.children[0], &node.children[1]);
+            node.est_rows = match &node.op {
+                PlanOp::HashJoin { left_keys, right_keys, .. } => {
+                    join_estimate(l, r, Some((left_keys, right_keys)), db)
+                }
+                _ => join_estimate(l, r, None, db),
+            };
+            let smaller_left = l.est_rows < r.est_rows;
             if let PlanOp::HashJoin { build_left, .. } = &mut node.op {
-                *build_left = l < r;
+                *build_left = smaller_left;
             }
         }
         return pushed;
@@ -386,7 +392,7 @@ fn try_push(node: &mut PlanNode, pred: &PhysPred, db: &Database) -> bool {
             est_rows: 0,
         };
         let inner = std::mem::replace(node, placeholder);
-        let est = discount_n(inner.est_rows, 1);
+        let est = filter_estimate(inner.est_rows, 1);
         let cols = inner.cols.clone();
         *node = mk(PlanOp::Filter { preds: vec![pred.clone()] }, vec![inner], cols, est);
         return true;
@@ -467,16 +473,54 @@ fn shift_pred(p: &PhysPred, by: usize) -> PhysPred {
     }
 }
 
-/// The planner's selectivity discount (a fixed 1/4 per predicate,
-/// floored at one row), applied iteratively — matching `push_into`'s
-/// one-call-per-predicate accounting.
-fn discount_n(rows: usize, n: usize) -> usize {
-    (0..n).fold(rows, |r, _| if r == 0 { 0 } else { (r >> 2).max(1) })
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aqks_relational::{AttrType, RelationSchema, Value};
+    use aqks_sqlgen::ast::{ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
+    use aqks_sqlgen::{plan_with_options, PlanOptions};
 
-/// Canonical scan estimate: the base table's row count discounted once
-/// per pushed predicate. Unknown relations keep the incoming estimate
-/// (verification will reject them with a proper diagnostic).
-fn scan_est(db: &Database, relation: &str, npreds: usize, fallback: usize) -> usize {
-    db.table(relation).map(|t| discount_n(t.len(), npreds)).unwrap_or(fallback)
+    /// Nine predicates on one relation, pushed by the planner or left in
+    /// a filter for canonicalization to push: both canonical scans carry
+    /// the planner's estimate, whose per-predicate shift stops at eight
+    /// (2^17 rows >> 16 = 2, where nine further quarterings would give 1).
+    #[test]
+    fn nine_pushed_predicates_keep_the_planner_estimate() {
+        const ROWS: usize = 1 << 17;
+        let mut db = Database::new("nine");
+        let mut t = RelationSchema::new("T");
+        t.add_attr("Id", AttrType::Int).add_attr("V", AttrType::Int);
+        t.set_primary_key(["Id"]);
+        db.add_relation(t).unwrap();
+        for i in 0..ROWS as i64 {
+            db.insert("T", vec![Value::Int(i), Value::Int(i % 16)]).unwrap();
+        }
+        let stmt = SelectStatement {
+            items: vec![SelectItem::Column { col: ColumnRef::new("T", "Id"), alias: None }],
+            from: vec![TableExpr::Relation { name: "T".into(), alias: "T".into() }],
+            predicates: (0..9)
+                .map(|v| Predicate::Eq(ColumnRef::new("T", "V"), Value::Int(v)))
+                .collect(),
+            ..Default::default()
+        };
+        let scan_est = |p: &PlanNode| {
+            let mut est = None;
+            p.visit(&mut |n| {
+                if matches!(n.op, PlanOp::Scan { .. }) {
+                    est = Some(n.est_rows);
+                }
+            });
+            est.expect("plan scans T")
+        };
+        let want = filter_estimate(ROWS, 9);
+        assert_eq!(want, 2);
+        for pushdown in [true, false] {
+            let p = plan_with_options(&stmt, &db, &PlanOptions { pushdown }).unwrap();
+            let c = canonicalize(&p, &db).unwrap();
+            assert_eq!(scan_est(&c.plan), want, "pushdown {pushdown}");
+            if pushdown {
+                assert_eq!(scan_est(&p), want, "planner scan estimate");
+            }
+        }
+    }
 }

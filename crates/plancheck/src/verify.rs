@@ -17,7 +17,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use aqks_analyze::fdmodel::lower_fd_set;
 use aqks_relational::{AttrType, Database, Value};
-use aqks_sqlgen::ast::{AggFunc, SelectItem, SelectStatement, TableExpr};
+use aqks_sqlgen::ast::{AggFunc, Predicate, SelectItem, SelectStatement, TableExpr};
 use aqks_sqlgen::{PhysAggItem, PhysPred, PlanNode, PlanOp};
 
 use crate::fingerprint::fingerprint;
@@ -797,7 +797,8 @@ fn pinned_for(closure: &BTreeSet<String>, alias: &str) -> BTreeSet<String> {
 
 /// Checks that the plan realizes the statement's required shape:
 /// LIMIT/ORDER BY/DISTINCT present exactly when requested, the output
-/// schema matching the rendered SQL's select list, and every FROM item
+/// schema matching the rendered SQL's select list, the equated column
+/// pairs matching the statement's equi-joins, and every FROM item
 /// (recursively through derived tables) realized by a matching source.
 fn check_stmt(root: &PlanNode, stmt: &SelectStatement) -> Result<(), PlanError> {
     let mut cur = root;
@@ -915,9 +916,36 @@ fn check_stmt(root: &PlanNode, stmt: &SelectStatement) -> Result<(), PlanError> 
         }
     }
 
+    // Equi-joins: the level's hash-join key pairs and `EqCols`
+    // predicates realize exactly the statement's JoinEq set. Per-node
+    // provenance checks accept any two same-named attributes, so this is
+    // what catches a key re-pointed at the wrong column of a relation.
+    let region = &cur.children[0];
+    let mut realized = BTreeSet::new();
+    collect_equi_pairs(region, &mut realized);
+    let wanted: BTreeSet<ColPair> = stmt
+        .predicates
+        .iter()
+        .filter_map(|p| match p {
+            Predicate::JoinEq(a, b) => Some(col_pair(
+                (a.qualifier.to_lowercase(), a.column.to_lowercase()),
+                (b.qualifier.to_lowercase(), b.column.to_lowercase()),
+            )),
+            _ => None,
+        })
+        .collect();
+    let extra = realized.difference(&wanted).next().map(|p| (p, "the statement does not"));
+    let missing = wanted.difference(&realized).next().map(|p| (p, "the plan does not"));
+    if let Some((((la, lc), (ra, rc)), absent)) = extra.or(missing) {
+        return Err(PlanError::new(
+            PlanErrorKind::JoinProvenance,
+            cur.id,
+            format!("{la}.{lc} = {ra}.{rc} is equated but {absent} equate it"),
+        ));
+    }
+
     // FROM items: every base relation has its scan, every derived table
     // its recursively checked subplan.
-    let region = &cur.children[0];
     for item in &stmt.from {
         match item {
             TableExpr::Relation { name, alias } => {
@@ -953,6 +981,47 @@ fn check_stmt(root: &PlanNode, stmt: &SelectStatement) -> Result<(), PlanError> 
         }
     }
     Ok(())
+}
+
+/// An equated pair of `(alias, column)` references, smaller first.
+type ColPair = ((String, String), (String, String));
+
+fn col_pair(a: (String, String), b: (String, String)) -> ColPair {
+    if b < a {
+        (b, a)
+    } else {
+        (a, b)
+    }
+}
+
+/// Column pairs equated within one FROM level: hash-join keys and the
+/// `EqCols` predicates of scans and filters.
+fn collect_equi_pairs(node: &PlanNode, out: &mut BTreeSet<ColPair>) {
+    let pair = |lc: &[(String, String)], l: usize, rc: &[(String, String)], r: usize| {
+        lc.get(l).zip(rc.get(r)).map(|(a, b)| col_pair(a.clone(), b.clone()))
+    };
+    let mark = |preds: &[PhysPred], cols: &[(String, String)], out: &mut BTreeSet<ColPair>| {
+        for p in preds {
+            if let PhysPred::EqCols(l, r) = p {
+                out.extend(pair(cols, *l, cols, *r));
+            }
+        }
+    };
+    match &node.op {
+        PlanOp::DerivedTable { .. } => return,
+        PlanOp::Scan { pushed, .. } => mark(pushed, &node.cols, out),
+        PlanOp::Filter { preds } => mark(preds, &node.children[0].cols, out),
+        PlanOp::HashJoin { left_keys, right_keys, .. } => {
+            let (lc, rc) = (&node.children[0].cols, &node.children[1].cols);
+            for (&l, &r) in left_keys.iter().zip(right_keys) {
+                out.extend(pair(lc, l, rc, r));
+            }
+        }
+        _ => {}
+    }
+    for c in &node.children {
+        collect_equi_pairs(c, out);
+    }
 }
 
 fn check_names(id: usize, got: &[String], want: &[&str]) -> Result<(), PlanError> {

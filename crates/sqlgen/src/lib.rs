@@ -37,8 +37,8 @@ pub use exec::{execute, ExecError};
 pub use ops::{materialize_batches, run_plan, run_plan_opts, ExecStats, OpMetrics, SharedRows};
 pub use par::ExecOptions;
 pub use plan::{
-    plan, plan_with_options, render_plan, render_plan_with_stats, PhysAggItem, PhysPred, PlanNode,
-    PlanOp, PlanOptions,
+    filter_estimate, join_estimate, plan, plan_with_options, render_plan, render_plan_with_stats,
+    scan_estimate, PhysAggItem, PhysPred, PlanNode, PlanOp, PlanOptions,
 };
 pub use render::{render, render_spanned, SpanKind, SqlSpan};
 pub use result::ResultTable;

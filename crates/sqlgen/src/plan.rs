@@ -2,12 +2,13 @@
 //!
 //! The planner is the seam between SQL generation and execution. It
 //! resolves every column reference once, pushes `contains`/literal
-//! predicates down to the scans that own them, orders joins greedily
-//! along the statement's equi-join predicates (cross products only as a
-//! last resort, smallest source first), and picks each hash join's build
-//! side from cardinality estimates. The resulting [`PlanNode`] tree is
-//! what [`crate::ops::run_plan`] executes, what [`render_plan`] prints
-//! for `aqks explain`, and what the bench harness instruments.
+//! predicates down to the scans that own them, orders joins outward from
+//! the most selective source along the statement's equi-join predicates
+//! (cross products only as a last resort, smallest source first), and
+//! picks each hash join's build side from cardinality estimates. The
+//! resulting [`PlanNode`] tree is what [`crate::ops::run_plan`] executes,
+//! what [`render_plan`] prints for `aqks explain`, and what the bench
+//! harness instruments.
 //!
 //! Pushdown rules:
 //!
@@ -18,6 +19,22 @@
 //! * equi-joins whose two sides live in the same source are pushed the
 //!   same way; the rest drive join ordering, and any equi-join that never
 //!   connects two sources is applied as a residual filter above the joins.
+//!
+//! Join order is a rule, not a search. Each source is ranked by (has no
+//! single-source predicate, estimated rows, FROM position), counted from
+//! the statement before any predicate is placed, so the order is the
+//! same with pushdown on or off. The join starts at the lowest-ranked
+//! source and at each step attaches the lowest-ranked source that an
+//! unconsumed equi-join connects to what is already joined. On the
+//! keyword workloads this starts from the `contains`-matched relation
+//! and walks outward along its foreign keys.
+//!
+//! Estimates ([`filter_estimate`], [`scan_estimate`], [`join_estimate`])
+//! are deliberately crude: a fixed 1/4 selectivity per predicate, and a
+//! hash join that keeps the larger input unless one side is a base scan
+//! joined on its whole primary key, in which case each row of the other
+//! side finds at most one partner. They only have to rank sources and
+//! pick build sides; `aqks-equiv` recomputes them with the same functions.
 
 use aqks_relational::{Database, Value};
 
@@ -362,14 +379,64 @@ impl IdGen {
     }
 }
 
-/// Cardinality estimate after `npreds` pushed predicates: a fixed 1/4
-/// selectivity per predicate, floored at one row. Deliberately crude —
-/// it only has to order cross products and pick hash-join build sides.
-fn discount(rows: usize, npreds: usize) -> usize {
+/// Cardinality estimate after `npreds` predicates over `rows` input
+/// rows: a fixed 1/4 selectivity per predicate (the shift capped at 8
+/// predicates), floored at one row.
+pub fn filter_estimate(rows: usize, npreds: usize) -> usize {
     if rows == 0 {
         return 0;
     }
     (rows >> (2 * npreds.min(8))).max(1)
+}
+
+/// Cardinality estimate of a scan of `relation` evaluating `npreds`
+/// pushed predicates; `None` for a relation the catalog lacks.
+pub fn scan_estimate(relation: &str, npreds: usize, db: &Database) -> Option<usize> {
+    db.table(relation).map(|t| filter_estimate(t.len(), npreds))
+}
+
+/// Cardinality estimate of joining `left` and `right`; `keys` holds the
+/// hash join's key indices, `None` for a cross product.
+///
+/// A hash join in which one input is a base [`PlanOp::Scan`] joined on
+/// its relation's whole primary key matches each row of the other input
+/// at most once, so it estimates `other × scan / |relation|` rows (the
+/// other input thinned by the scan's selectivity, at least one row). If
+/// both inputs qualify the smaller estimate wins; every other hash join
+/// estimates the larger input.
+pub fn join_estimate(
+    left: &PlanNode,
+    right: &PlanNode,
+    keys: Option<(&[usize], &[usize])>,
+    db: &Database,
+) -> usize {
+    let (l, r) = (left.est_rows, right.est_rows);
+    let Some((left_keys, right_keys)) = keys else {
+        return l.saturating_mul(r);
+    };
+    let keyed = |scan: &PlanNode, keys: &[usize], other: usize| -> Option<usize> {
+        let PlanOp::Scan { relation, .. } = &scan.op else { return None };
+        let table = db.table(relation)?;
+        let pk = &table.schema.primary_key;
+        let whole_key = !pk.is_empty()
+            && pk.iter().all(|a| {
+                keys.iter()
+                    .any(|&k| scan.cols.get(k).is_some_and(|(_, c)| c.eq_ignore_ascii_case(a)))
+            });
+        if !whole_key {
+            return None;
+        }
+        if other == 0 || scan.est_rows == 0 {
+            return Some(0);
+        }
+        let est = other as u128 * scan.est_rows as u128 / table.len().max(1) as u128;
+        Some(usize::try_from(est).unwrap_or(usize::MAX).clamp(1, other))
+    };
+    match (keyed(left, left_keys, r), keyed(right, right_keys, l)) {
+        (Some(a), Some(b)) => a.min(b),
+        (Some(e), None) | (None, Some(e)) => e,
+        (None, None) => l.max(r),
+    }
 }
 
 /// Plans `stmt` against `db` with default options.
@@ -417,87 +484,85 @@ fn plan_stmt(
     // --- Predicate placement --------------------------------------------
     // Single-source predicates are pushed below the joins (scan-time for
     // base relations, a filter above derived tables); everything else is
-    // left for join ordering or the residual filter.
+    // left for join ordering or the residual filter. Each source counts
+    // its single-source predicates whether or not they are pushed: the
+    // count sets its join rank, so pushdown cannot change the join order.
+    let base_est: Vec<usize> = sources.iter().map(|s| s.est_rows).collect();
+    let mut local = vec![0usize; sources.len()];
     let mut residual: Vec<&Predicate> = Vec::new();
     let mut join_preds: Vec<(&ColumnRef, &ColumnRef, bool)> = Vec::new(); // (a, b, consumed)
     for p in &stmt.predicates {
-        match p {
-            Predicate::JoinEq(a, b) => {
-                // Both sides in one source: a pushable single-source
-                // predicate, not a join.
-                let same = sources.iter().position(|s| {
-                    resolve_in(&s.cols, a).is_some() && resolve_in(&s.cols, b).is_some()
-                });
-                match same {
-                    Some(si) if opts.pushdown => {
-                        let l = resolve_in(&sources[si].cols, a).expect("checked");
-                        let r = resolve_in(&sources[si].cols, b).expect("checked");
-                        push_into(&mut sources[si], PhysPred::EqCols(l, r), ids);
-                    }
-                    Some(_) => residual.push(p),
-                    None => join_preds.push((a, b, false)),
+        let si = match p {
+            // Both sides in one source: a single-source predicate, not a join.
+            Predicate::JoinEq(a, b) => match sources
+                .iter()
+                .position(|s| resolve_in(&s.cols, a).is_some() && resolve_in(&s.cols, b).is_some())
+            {
+                Some(si) => si,
+                None => {
+                    join_preds.push((a, b, false));
+                    continue;
                 }
-            }
-            Predicate::Contains(c, text) => {
-                match sources.iter().position(|s| resolve_in(&s.cols, c).is_some()) {
-                    Some(si) if opts.pushdown => {
-                        let i = resolve_in(&sources[si].cols, c).expect("checked");
-                        push_into(
-                            &mut sources[si],
-                            PhysPred::ContainsCi(i, text.to_lowercase()),
-                            ids,
-                        );
-                    }
-                    Some(_) => residual.push(p),
-                    None => return Err(ExecError::UnknownColumn(c.to_string())),
-                }
-            }
-            Predicate::Eq(c, v) => {
-                match sources.iter().position(|s| resolve_in(&s.cols, c).is_some()) {
-                    Some(si) if opts.pushdown => {
-                        let i = resolve_in(&sources[si].cols, c).expect("checked");
-                        push_into(&mut sources[si], PhysPred::EqLit(i, v.clone()), ids);
-                    }
-                    Some(_) => residual.push(p),
-                    None => return Err(ExecError::UnknownColumn(c.to_string())),
-                }
-            }
+            },
+            Predicate::Contains(c, _) | Predicate::Eq(c, _) => sources
+                .iter()
+                .position(|s| resolve_in(&s.cols, c).is_some())
+                .ok_or_else(|| ExecError::UnknownColumn(c.to_string()))?,
+        };
+        local[si] += 1;
+        if !opts.pushdown {
+            residual.push(p);
+            continue;
         }
+        let cols = &sources[si].cols;
+        let at = |c: &ColumnRef| resolve_in(cols, c).expect("the source resolves the column");
+        let pred = match p {
+            Predicate::JoinEq(a, b) => PhysPred::EqCols(at(a), at(b)),
+            Predicate::Contains(c, text) => PhysPred::ContainsCi(at(c), text.to_lowercase()),
+            Predicate::Eq(c, v) => PhysPred::EqLit(at(c), v.clone()),
+        };
+        push_into(&mut sources[si], pred, ids);
+    }
+    // Join rank: (has no single-source predicate, estimated rows, FROM
+    // position). The estimate is what the source yields once its
+    // predicates apply, which with pushdown on is its own estimate.
+    let mut ranks: Vec<(bool, usize, usize)> = Vec::with_capacity(sources.len());
+    for (i, source) in sources.iter_mut().enumerate() {
+        let est = filter_estimate(base_est[i], local[i]);
+        if opts.pushdown {
+            source.est_rows = est;
+        }
+        ranks.push((local[i] == 0, est, i));
     }
 
     // --- Join ordering ---------------------------------------------------
-    // Greedy: always join next a source that an unconsumed equi-join links
+    // Selectivity-first greedy: start at the lowest-ranked source, then
+    // attach the lowest-ranked source that an unconsumed equi-join links
     // to the accumulated plan. When nothing connects, fall back to a cross
-    // product with the smallest-cardinality remaining source (not
-    // whichever happens to sit at index 0) so intermediate results stay
-    // as small as possible.
-    let mut acc = sources.remove(0);
+    // product with the smallest estimated remaining source (FROM position
+    // breaking ties) so intermediate results stay as small as possible.
+    let seed = (0..sources.len()).min_by_key(|&i| ranks[i]).expect("FROM is non-empty");
+    ranks.remove(seed);
+    let mut acc = sources.remove(seed);
     while !sources.is_empty() {
-        let mut pick: Option<usize> = None;
-        'scan: for (si, right) in sources.iter().enumerate() {
-            for &(a, b, consumed) in join_preds.iter() {
-                if consumed {
-                    continue;
-                }
-                let connects = (resolve_in(&acc.cols, a).is_some()
-                    && resolve_in(&right.cols, b).is_some())
-                    || (resolve_in(&acc.cols, b).is_some() && resolve_in(&right.cols, a).is_some());
-                if connects {
-                    pick = Some(si);
-                    break 'scan;
-                }
-            }
-        }
-        let cross = pick.is_none();
-        let pick = pick.unwrap_or_else(|| {
-            // Cross-product fallback: smallest estimated source first.
-            sources
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.est_rows)
-                .map(|(i, _)| i)
+        let connects = |right: &PlanNode| {
+            join_preds.iter().any(|&(a, b, consumed)| {
+                !consumed
+                    && ((resolve_in(&acc.cols, a).is_some()
+                        && resolve_in(&right.cols, b).is_some())
+                        || (resolve_in(&acc.cols, b).is_some()
+                            && resolve_in(&right.cols, a).is_some()))
+            })
+        };
+        let linked =
+            (0..sources.len()).filter(|&i| connects(&sources[i])).min_by_key(|&i| ranks[i]);
+        let cross = linked.is_none();
+        let pick = linked.unwrap_or_else(|| {
+            (0..sources.len())
+                .min_by_key(|&i| (ranks[i].1, ranks[i].2))
                 .expect("sources is non-empty")
         });
+        ranks.remove(pick);
         let right = sources.remove(pick);
 
         let mut left_keys: Vec<usize> = Vec::new();
@@ -521,16 +586,11 @@ fn plan_stmt(
         let mut cols = acc.cols.clone();
         cols.extend(right.cols.iter().cloned());
         let (op, est) = if cross || left_keys.is_empty() {
-            (PlanOp::CrossJoin, acc.est_rows.saturating_mul(right.est_rows))
+            (PlanOp::CrossJoin, join_estimate(&acc, &right, None, db))
         } else {
-            (
-                PlanOp::HashJoin {
-                    left_keys,
-                    right_keys,
-                    build_left: acc.est_rows < right.est_rows,
-                },
-                acc.est_rows.max(right.est_rows),
-            )
+            let est = join_estimate(&acc, &right, Some((&left_keys, &right_keys)), db);
+            let build_left = acc.est_rows < right.est_rows;
+            (PlanOp::HashJoin { left_keys, right_keys, build_left }, est)
         };
         acc = PlanNode { id: ids.next(), op, children: vec![acc, right], cols, est_rows: est };
     }
@@ -563,7 +623,7 @@ fn plan_stmt(
         });
     }
     if !residual_phys.is_empty() {
-        let est = discount(acc.est_rows, residual_phys.len());
+        let est = filter_estimate(acc.est_rows, residual_phys.len());
         let cols = acc.cols.clone();
         acc = PlanNode {
             id: ids.next(),
@@ -727,17 +787,11 @@ fn plan_source(
 
 /// Pushes a single-source predicate into a source plan: scan predicates
 /// are evaluated during the scan; derived tables (or already-filtered
-/// sources) get a [`PlanOp::Filter`] directly above.
+/// sources) get a [`PlanOp::Filter`] directly above. The caller sets the
+/// source's estimate once all of its predicates are placed.
 fn push_into(source: &mut PlanNode, pred: PhysPred, ids: &mut IdGen) {
     match &mut source.op {
-        PlanOp::Scan { pushed, .. } => {
-            pushed.push(pred);
-            source.est_rows = discount(source.est_rows, 1);
-        }
-        PlanOp::Filter { preds } => {
-            preds.push(pred);
-            source.est_rows = discount(source.est_rows, 1);
-        }
+        PlanOp::Scan { pushed: preds, .. } | PlanOp::Filter { preds } => preds.push(pred),
         _ => {
             let inner = std::mem::replace(
                 source,
@@ -753,7 +807,7 @@ fn push_into(source: &mut PlanNode, pred: PhysPred, ids: &mut IdGen) {
                 id: ids.next(),
                 op: PlanOp::Filter { preds: vec![pred] },
                 cols: inner.cols.clone(),
-                est_rows: discount(inner.est_rows, 1),
+                est_rows: inner.est_rows,
                 children: vec![inner],
             };
         }
@@ -1053,7 +1107,8 @@ mod tests {
         .unwrap();
         let j = find(&p, &|n| matches!(n.op, PlanOp::HashJoin { .. })).unwrap();
         assert!(matches!(j.op, PlanOp::HashJoin { build_left: true, .. }), "{}", render_plan(&p));
-        // Enrol (6 rows) first: right is smaller, build right.
+        // Enrol (6 rows) first: the smaller Student still seeds the join,
+        // so it is still the left input and still builds.
         let p2 = plan(
             &mk(vec![
                 TableExpr::Relation { name: "Enrol".into(), alias: "E".into() },
@@ -1063,12 +1118,142 @@ mod tests {
         )
         .unwrap();
         let j2 = find(&p2, &|n| matches!(n.op, PlanOp::HashJoin { .. })).unwrap();
-        assert!(matches!(j2.op, PlanOp::HashJoin { build_left: false, .. }));
+        assert!(matches!(j2.op, PlanOp::HashJoin { build_left: true, .. }), "{}", render_plan(&p2));
         let (a, stats) = run_plan(&p, &db).unwrap();
         let (b, _) = run_plan(&p2, &db).unwrap();
         assert_eq!(a.rows, b.rows, "build side never changes answers");
         let note = stats.ops[j.id].note.clone().unwrap_or_default();
         assert!(note.contains("build rows=3") && note.contains("probe rows=6"), "{note}");
+    }
+
+    /// Student ⋈ Enrol ⋈ Course joined on both keys, with `preds` added.
+    fn chain(from: &[(&str, &str)], preds: Vec<Predicate>) -> SelectStatement {
+        let mut predicates = vec![
+            Predicate::JoinEq(col("E", "Sid"), col("S", "Sid")),
+            Predicate::JoinEq(col("E", "Code"), col("C", "Code")),
+        ];
+        predicates.extend(preds);
+        SelectStatement {
+            items: vec![count_item("E", "Code")],
+            from: from
+                .iter()
+                .map(|&(name, alias)| TableExpr::Relation {
+                    name: name.into(),
+                    alias: alias.into(),
+                })
+                .collect(),
+            predicates,
+            ..Default::default()
+        }
+    }
+
+    /// Source aliases in the order the left-deep join tree attaches them.
+    fn join_order(node: &PlanNode) -> Vec<String> {
+        let mut out = Vec::new();
+        node.visit(&mut |n| {
+            if let PlanOp::Scan { alias, .. } | PlanOp::DerivedTable { alias, .. } = &n.op {
+                out.push(alias.clone());
+            }
+        });
+        out
+    }
+
+    const PERMUTATIONS: [[usize; 3]; 6] =
+        [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+    const SOURCES: [(&str, &str); 3] = [("Student", "S"), ("Enrol", "E"), ("Course", "C")];
+
+    /// The source with a single-source predicate seeds the join, and the
+    /// join grows along the keys from there, whatever the FROM order.
+    #[test]
+    fn filtered_source_seeds_the_join_whatever_the_from_order() {
+        let db = db();
+        for perm in PERMUTATIONS {
+            let from: Vec<_> = perm.iter().map(|&i| SOURCES[i]).collect();
+            let stmt = chain(&from, vec![Predicate::Contains(col("C", "Code"), "c1".into())]);
+            let p = plan(&stmt, &db).unwrap();
+            assert_eq!(join_order(&p), ["c", "e", "s"], "FROM {from:?}:\n{}", render_plan(&p));
+        }
+    }
+
+    /// Among the sources connected to the joined prefix, the lowest-ranked
+    /// comes next, not the first in FROM order. Enrol (filtered, FROM
+    /// position 0) seeds; Course sits before Student in FROM, but only
+    /// Student carries a predicate.
+    #[test]
+    fn lowest_ranked_connected_source_comes_next() {
+        let db = db();
+        let stmt = chain(
+            &[("Enrol", "E"), ("Course", "C"), ("Student", "S")],
+            vec![
+                Predicate::Contains(col("E", "Code"), "c".into()),
+                Predicate::Contains(col("S", "Sname"), "Green".into()),
+            ],
+        );
+        let p = plan(&stmt, &db).unwrap();
+        assert_eq!(join_order(&p), ["e", "s", "c"], "{}", render_plan(&p));
+        let (t, _) = run_plan(&p, &db).unwrap();
+        assert_eq!(t.scalar(), Some(&Value::Int(3)), "s2·c1, s3·c1, s3·c3");
+    }
+
+    /// A scan joined on its whole primary key thins the other input
+    /// instead of estimating the larger one, so after the filtered
+    /// Student ⋈ Enrol the small prefix builds and Course is probed.
+    /// The `max` rule would estimate the prefix at Enrol's 6 rows and
+    /// hash Course instead.
+    #[test]
+    fn key_aware_estimate_picks_the_build_side() {
+        let db = db();
+        let stmt = chain(
+            &[("Course", "C"), ("Enrol", "E"), ("Student", "S")],
+            vec![Predicate::Contains(col("S", "Sname"), "Green".into())],
+        );
+        let p = plan(&stmt, &db).unwrap();
+        assert_eq!(join_order(&p), ["s", "e", "c"], "{}", render_plan(&p));
+        let top = find(&p, &|n| matches!(n.op, PlanOp::HashJoin { .. })).unwrap();
+        let prefix = &top.children[0];
+        // Student (3 rows, 1/4 kept: est 1) on its key Sid: 6 × 1 / 3.
+        assert_eq!(prefix.est_rows, 2, "{}", render_plan(&p));
+        assert!(matches!(top.op, PlanOp::HashJoin { build_left: true, .. }), "{}", render_plan(&p));
+        // Course joined on its key Code: 2 × 3 / 3.
+        assert_eq!(top.est_rows, 2);
+
+        // Enrol's key is (Sid, Code): joining it on Sid alone keeps `max`.
+        let scan = |name: &str, alias: &str| {
+            let from = [TableExpr::Relation { name: name.into(), alias: alias.into() }];
+            plan_source(&from[0], alias, &db, &PlanOptions::default(), &mut IdGen(0)).unwrap()
+        };
+        let (s, e) = (scan("Student", "s"), scan("Enrol", "e"));
+        assert_eq!(join_estimate(&s, &e, Some((&[0], &[0])), &db), 6, "keyed: 6 × 3 / 3");
+        let (e2, e3) = (scan("Enrol", "a"), scan("Enrol", "b"));
+        assert_eq!(join_estimate(&e2, &e3, Some((&[0], &[0])), &db), 6, "unkeyed: max(6, 6)");
+        assert_eq!(join_estimate(&e2, &e3, Some((&[0, 1], &[0, 1])), &db), 6, "keyed both ways");
+        assert_eq!(join_estimate(&s, &e, None, &db), 18, "cross product");
+    }
+
+    /// The join order is ranked from the statement, so planning with
+    /// pushdown off joins the sources in the same order as with it on.
+    #[test]
+    fn pushdown_on_and_off_give_the_same_join_order() {
+        let db = db();
+        for perm in PERMUTATIONS {
+            let from: Vec<_> = perm.iter().map(|&i| SOURCES[i]).collect();
+            for pred in [
+                Predicate::Contains(col("S", "Sname"), "Green".into()),
+                Predicate::Eq(col("C", "Code"), Value::str("c2")),
+            ] {
+                let stmt = chain(&from, vec![pred]);
+                let on = plan(&stmt, &db).unwrap();
+                let off = plan_with_options(&stmt, &db, &PlanOptions { pushdown: false }).unwrap();
+                assert_eq!(
+                    join_order(&on),
+                    join_order(&off),
+                    "on:\n{}\noff:\n{}",
+                    render_plan(&on),
+                    render_plan(&off)
+                );
+                assert_eq!(run_plan(&on, &db).unwrap().0, run_plan(&off, &db).unwrap().0);
+            }
+        }
     }
 
     /// ORDER BY yields a Sort node and `is_ordered`; without one the
