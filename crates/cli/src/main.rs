@@ -432,26 +432,38 @@ fn check_workload(dataset: &str) -> Vec<String> {
 }
 
 /// Prints the physical plan of every interpretation of `queries`; with
-/// `analyze`, executes each plan and annotates operators with measured
-/// row counts and wall time. Returns the number of failed queries.
+/// `analyze`, answers each query through `Engine::run` and annotates
+/// operators with the row counts and wall time its execution measured
+/// (subtrees replayed from an earlier interpretation are noted
+/// `shared`). Returns the number of failed queries.
 fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> usize {
-    let opts = aqks_sqlgen::ExecOptions::with_threads(engine.threads());
     let db = engine.database();
     let mut failures = 0;
     for q in queries {
         println!("── explain `{q}`");
-        let generated = match engine.generate(q, k) {
-            Ok(g) => g,
+        let statements = if analyze {
+            engine.run(q, &AnswerRequest::new(k)).map(|a| {
+                a.interpretations.into_iter().map(|a| (a.sql, a.sql_text, Some(a.stats))).collect()
+            })
+        } else {
+            engine
+                .generate(q, k)
+                .map(|g| g.into_iter().map(|g| (g.sql, g.sql_text, None)).collect::<Vec<_>>())
+        };
+        let statements = match statements {
+            Ok(s) => s,
             Err(e) => {
                 println!("  error: {e}");
                 failures += 1;
                 continue;
             }
         };
-        for (rank, g) in generated.iter().enumerate() {
+        for (rank, (sql, sql_text, stats)) in statements.iter().enumerate() {
             println!("interpretation #{}", rank + 1);
-            println!("{}", g.sql_text);
-            let plan = match aqks_sqlgen::plan(&g.sql, db) {
+            println!("{sql_text}");
+            // The planner is deterministic in the statement, so this is
+            // the plan the engine ran, with the same node ids.
+            let plan = match aqks_sqlgen::plan(sql, db) {
                 Ok(p) => p,
                 Err(e) => {
                     println!("  plan error: {e}");
@@ -461,7 +473,7 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
             };
             // Verify first: explain output shows each operator's
             // statically inferred keys, ordering, and row bounds.
-            let verified = match aqks_plancheck::verify(&plan, db, Some(&g.sql)) {
+            let verified = match aqks_plancheck::verify(&plan, db, Some(sql)) {
                 Ok(v) => v,
                 Err(e) => {
                     println!("  plan verification error: {e}");
@@ -470,17 +482,9 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
                 }
             };
             println!("plan fingerprint: {}", aqks_plancheck::fingerprint_hex(&plan));
-            let rendered = if analyze {
-                match aqks_sqlgen::run_plan_opts(&plan, db, &aqks_sqlgen::SharedRows::new(), opts) {
-                    Ok((_, stats)) => aqks_sqlgen::render_plan_with_stats(&plan, &stats),
-                    Err(e) => {
-                        println!("  execution error: {e}");
-                        failures += 1;
-                        continue;
-                    }
-                }
-            } else {
-                aqks_plancheck::render_verified(&plan, &verified)
+            let rendered = match stats {
+                Some(stats) => aqks_sqlgen::render_plan_with_stats(&plan, stats),
+                None => aqks_plancheck::render_verified(&plan, &verified),
             };
             println!("{rendered}");
         }

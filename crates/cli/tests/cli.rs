@@ -107,6 +107,22 @@ fn explain_analyze_adds_per_operator_metrics() {
     assert!(stdout.contains("total:"), "{stdout}");
 }
 
+/// `explain --analyze` renders the stats of the engine's own run, so the
+/// interpretations of A7 that replay the join an earlier one computed
+/// are noted `shared`.
+#[test]
+fn explain_analyze_shows_shared_subtrees() {
+    let out = aqks()
+        .args(["explain", "--analyze", "--k", "5", "--dataset", "acmdl"])
+        .arg("COUNT paper author John Mary")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("interpretation #2"), "{stdout}");
+    assert!(stdout.contains("[shared"), "{stdout}");
+}
+
 #[test]
 fn metrics_prints_prometheus_exposition() {
     let out =

@@ -28,6 +28,7 @@ use crate::matching::{Matcher, TermMatch, TermRole};
 use crate::pattern::{generate_patterns, QueryPattern};
 use crate::query::{KeywordQuery, Operator, Term};
 use crate::rank::rank_patterns;
+use crate::share::Election;
 use crate::translate::{translate_ex, TranslateOptions};
 use crate::unnormalized::{rewrite, RewriteOptions};
 
@@ -541,6 +542,13 @@ impl Engine {
         Ok(Answered { interpretations, exhaustion, trace: None })
     }
 
+    /// Generates the top-`k` interpretations, plans and checks them all,
+    /// then executes them in rank order. Subtrees that two or more plans
+    /// compute alike (see [`crate::share`]) run once per request: the
+    /// first plan that drains one to end-of-stream in a run that succeeds
+    /// keeps its batches, and later plans replay them with the same
+    /// per-operator rows and batches. A share is dropped once its last
+    /// consumer has run.
     fn answer_inner(
         &self,
         rec: &Recorder,
@@ -548,39 +556,27 @@ impl Engine {
         k: usize,
     ) -> Result<Vec<Interpretation>, CoreError> {
         let generated = self.generate_inner(rec, query, k)?;
+        let mut plans = Vec::with_capacity(generated.len());
+        for g in &generated {
+            plans.push(self.plan_checked(rec, g)?);
+        }
+        // One plan has nothing to share with.
+        let election = if plans.len() > 1 { Election::elect(&plans) } else { Election::default() };
+        let shares = aqks_sqlgen::Shares::new(election.shares.len());
         let mut out = Vec::with_capacity(generated.len());
-        for g in generated {
+        for (i, (g, plan)) in generated.into_iter().zip(&plans).enumerate() {
             // Between interpretations is the natural cancellation point:
             // answers already executed are kept as partials.
             if aqks_guard::checkpoint("engine.answer").is_err() {
                 break;
             }
-            let plan = {
-                let _s = rec.span("plan");
-                aqks_sqlgen::plan(&g.sql, &self.db).map_err(CoreError::from)?
-            };
-            {
-                // Debug builds statically verify every plan before it
-                // runs; release builds skip in a branch (the span keeps
-                // traces shape-stable across profiles).
-                let s = rec.span("plancheck");
-                if cfg!(debug_assertions) {
-                    s.add("plancheck.checked", 1);
-                }
-                if let Err(e) = aqks_plancheck::verify_in_debug(&plan, &self.db, Some(&g.sql)) {
-                    s.add(format!("plancheck.rejected.{}", e.kind.name()), 1);
-                    return Err(CoreError::Analysis(format!(
-                        "plan verification failed: {e}\n{}",
-                        g.sql_text
-                    )));
-                }
-            }
             let run = {
                 let s = rec.span("exec");
-                let run = aqks_sqlgen::run_plan_opts(
-                    &plan,
+                let run = aqks_sqlgen::run_plan_sharing(
+                    plan,
                     &self.db,
-                    &aqks_sqlgen::SharedRows::new(),
+                    &shares,
+                    &election.sites(i),
                     aqks_sqlgen::ExecOptions::with_threads(self.threads),
                 );
                 if let Ok((result, _)) = &run {
@@ -588,6 +584,9 @@ impl Engine {
                 }
                 run
             };
+            for done in election.last_used_by(i) {
+                shares.release(done);
+            }
             let (result, stats) = match run {
                 Ok(r) => r,
                 // A budget trip mid-plan cancels this interpretation but
@@ -604,6 +603,33 @@ impl Engine {
             });
         }
         Ok(out)
+    }
+
+    /// Plans `g` and, in debug builds, statically verifies the plan.
+    fn plan_checked(
+        &self,
+        rec: &Recorder,
+        g: &GeneratedSql,
+    ) -> Result<aqks_sqlgen::PlanNode, CoreError> {
+        let plan = {
+            let _s = rec.span("plan");
+            aqks_sqlgen::plan(&g.sql, &self.db).map_err(CoreError::from)?
+        };
+        // Debug builds statically verify every plan before it runs;
+        // release builds skip in a branch (the span keeps traces
+        // shape-stable across profiles).
+        let s = rec.span("plancheck");
+        if cfg!(debug_assertions) {
+            s.add("plancheck.checked", 1);
+        }
+        if let Err(e) = aqks_plancheck::verify_in_debug(&plan, &self.db, Some(&g.sql)) {
+            s.add(format!("plancheck.rejected.{}", e.kind.name()), 1);
+            return Err(CoreError::Analysis(format!(
+                "plan verification failed: {e}\n{}",
+                g.sql_text
+            )));
+        }
+        Ok(plan)
     }
 
     /// Explains how a query is interpreted: each term's matches and the

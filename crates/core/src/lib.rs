@@ -40,6 +40,7 @@ pub mod matching;
 pub mod pattern;
 pub mod query;
 pub mod rank;
+mod share;
 pub mod translate;
 pub mod unnormalized;
 

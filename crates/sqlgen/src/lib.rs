@@ -34,7 +34,10 @@ pub mod result;
 pub use ast::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
 pub use batch::{Bitmap, Column, ColumnBatch, ColumnData};
 pub use exec::{execute, ExecError};
-pub use ops::{materialize_batches, run_plan, run_plan_opts, ExecStats, OpMetrics, SharedRows};
+pub use ops::{
+    materialize_batches, run_plan, run_plan_opts, run_plan_sharing, ExecStats, OpMetrics,
+    SharedRows, Shares,
+};
 pub use par::ExecOptions;
 pub use plan::{
     filter_estimate, join_estimate, plan, plan_with_options, render_plan, render_plan_with_stats,

@@ -20,7 +20,10 @@
 //! it to end-of-stream and succeeds stores the batches `Distinct`
 //! emitted, and later runs replay them through `CachedRows`, reporting
 //! the per-operator rows and batches recorded when it was computed
-//! (`explain --analyze` notes the subtree `[memo]`).
+//! (`explain --analyze` notes the subtree `[memo]`). The same
+//! capture/replay runs a subtree that several plans of one request
+//! compute alike once per request ([`Shares`], [`run_plan_sharing`];
+//! the replayed root is noted `[shared]`).
 //!
 //! Distinct, the hash join and the aggregate key one kind of hash table,
 //! `KeyTable`: `key_hash` hashes a row's key straight from the typed
@@ -49,6 +52,7 @@
 //! When the statement has no ORDER BY, output rows are stably sorted by
 //! value so results are reproducible across runs and across plans.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -288,10 +292,11 @@ impl Operator for Guarded<'_> {
     }
 }
 
-/// Replays batches materialized once by a shared subplan (see
-/// `aqks-equiv`) or memoized on the database (see [`MemoEntry`]): the
-/// consumer site's whole subtree is replaced by this operator, so the
-/// shared work executes exactly once per set. Because
+/// Replays batches a subtree emitted once — materialized by a shared
+/// subplan (see `aqks-equiv`), memoized on the database (see
+/// [`MemoEntry`]) or captured by an earlier plan of the same request
+/// (see [`Shares`]): the consumer site's whole subtree is replaced by
+/// this operator, so the shared work executes exactly once. Because
 /// batches share their columns behind `Arc`s, re-emitting them is a
 /// handful of reference-count bumps per consumer — O(consumers), not
 /// O(consumers x rows). The shim stack above (metering, budget
@@ -301,39 +306,68 @@ struct CachedRows {
     batches: Arc<Vec<ColumnBatch>>,
     rows: u64,
     pos: usize,
-    /// A memo replay: its entry, the plan ids of the nodes below the
-    /// replayed one, and the stats it reports them into.
-    memo: Option<(Arc<MemoEntry>, [usize; 2], StatsCell)>,
+    /// A replay of a recorded [`MemoEntry`].
+    replay: Option<Replay>,
+}
+
+/// How a [`MemoEntry`] replay reports the nodes below the replayed one.
+struct Replay {
+    entry: Arc<MemoEntry>,
+    /// Plan ids of the replayed node, then the nodes below it in
+    /// pre-order.
+    ids: Vec<usize>,
+    stats: StatsCell,
+    /// A request share (noted `shared`), not a memo site (noted `memo`).
+    shared: bool,
+}
+
+impl Replay {
+    /// Writes back the `(rows_out, batches)` the nodes below had reached
+    /// after recorded call `call` (0 is `open`).
+    fn report(&self, call: usize) {
+        let reached = &self.entry.below[call.min(self.entry.below.len() - 1)];
+        let mut ops = par::relock(&self.stats);
+        for (&id, &(rows, batches)) in self.ids[1..].iter().zip(reached) {
+            (ops[id].rows_out, ops[id].batches) = (rows, batches);
+        }
+    }
 }
 
 impl CachedRows {
     fn new(batches: Arc<Vec<ColumnBatch>>) -> CachedRows {
         let rows = batches.iter().map(|b| b.len() as u64).sum();
-        CachedRows { batches, rows, pos: 0, memo: None }
+        CachedRows { batches, rows, pos: 0, replay: None }
+    }
+
+    fn replaying(entry: Arc<MemoEntry>, node: &PlanNode, cx: &BuildCx<'_>, shared: bool) -> Self {
+        let mut cached = CachedRows::new(Arc::clone(&entry.batches));
+        let ids = subtree_ids(node);
+        cached.replay = Some(Replay { entry, ids, stats: cx.stats.clone(), shared });
+        cached
     }
 }
 
 impl Operator for CachedRows {
     fn open(&mut self) -> Result<(), ExecError> {
         self.pos = 0;
-        if let Some((_, below, stats)) = &self.memo {
-            let mut ops = par::relock(stats);
-            for &id in below {
-                ops[id].note = Some("memo".into());
+        if let Some(r) = &self.replay {
+            r.report(0);
+            let mut ops = par::relock(&r.stats);
+            for (i, &id) in r.ids.iter().enumerate().skip(1) {
+                // A share's nodes keep the notes they closed with when
+                // the subtree ran; a memo site's are all `memo`.
+                ops[id].note =
+                    if r.shared { r.entry.notes[i].clone() } else { Some("memo".into()) };
             }
         }
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
-        if let Some((entry, below, stats)) = &self.memo {
+        if let Some(r) = &self.replay {
             // The nodes below report what they had emitted when the
-            // computed `Distinct` returned the same call's result.
-            let reached = entry.below[self.pos.min(self.batches.len())];
-            let mut ops = par::relock(stats);
-            for (&id, (rows, batches)) in below.iter().zip(reached) {
-                (ops[id].rows_out, ops[id].batches) = (rows, batches);
-            }
+            // computed subtree returned the same call's result.
+            r.report(self.pos.min(self.batches.len()) + 1);
         }
         if self.pos >= self.batches.len() {
             return Ok(None);
@@ -346,12 +380,20 @@ impl Operator for CachedRows {
     fn close(&mut self) {}
 
     fn note(&self) -> Option<String> {
-        Some(if self.memo.is_some() { "memo".into() } else { format!("cached rows={}", self.rows) })
+        Some(match &self.replay {
+            None => format!("cached rows={}", self.rows),
+            Some(r) if r.shared => match &r.entry.notes[0] {
+                Some(note) => format!("shared; {note}"),
+                None => "shared".into(),
+            },
+            Some(_) => "memo".into(),
+        })
     }
 
     fn mem_bytes(&self) -> u64 {
-        // A memo replay holds no state of its own: the database does.
-        match self.memo {
+        // A recorded replay holds no state of its own: the database or
+        // the request does.
+        match self.replay {
             Some(_) => 0,
             None => self.batches.iter().map(ColumnBatch::byte_size).sum(),
         }
@@ -366,8 +408,6 @@ impl Operator for CachedRows {
 struct MemoSite<'a> {
     relation: &'a str,
     cols: &'a [usize],
-    /// Plan ids of the Project and the Scan.
-    below: [usize; 2],
 }
 
 /// The memo site `node` heads, unless `shared` replays any node of it.
@@ -382,54 +422,149 @@ fn memo_site<'a>(node: &'a PlanNode, shared: &SharedRows) -> Option<MemoSite<'a>
         return None;
     };
     let ids = [node.id, project.id, scan.id];
-    (pushed.is_empty() && !ids.iter().any(|id| shared.contains_key(id))).then_some(MemoSite {
-        relation,
-        cols,
-        below: [project.id, scan.id],
-    })
+    (pushed.is_empty() && !ids.iter().any(|id| shared.contains_key(id)))
+        .then_some(MemoSite { relation, cols })
 }
 
-/// What the database memoizes for a [`MemoSite`]: the batches its
-/// `Distinct` emitted, and, after each of its `next` calls, the
-/// `(rows_out, batches)` its Project and Scan had reached — entry `k`
-/// after the call that returned batch `k`, the last after end-of-stream.
-/// A replay reports these, so per-operator rows and batches are the
-/// same whether a site was computed or replayed.
+/// Plan ids of `node`, then of the nodes below it in pre-order.
+fn subtree_ids(node: &PlanNode) -> Vec<usize> {
+    let mut ids = Vec::with_capacity(node.node_count());
+    node.visit(&mut |n| ids.push(n.id));
+    ids
+}
+
+/// What a computed subtree recorded for replay — for a [`MemoSite`] in
+/// the database's memo, for a request share in [`Shares`]: the batches
+/// its root emitted, and after `open` and after each `next` call the
+/// `(rows_out, batches)` every node below the root had reached — entry
+/// `k + 1` after the call that returned batch `k`, the last after
+/// end-of-stream. A replay reports these, so per-operator rows and
+/// batches are the same whether a subtree was computed or replayed.
 struct MemoEntry {
     batches: Arc<Vec<ColumnBatch>>,
-    below: Vec<[(u64, u64); 2]>,
+    below: Vec<Vec<(u64, u64)>>,
+    /// A share's notes, root first, as its nodes closed (empty for a
+    /// memo site).
+    notes: Vec<Option<String>>,
 }
 
-/// The `(rows_out, batches)` of a memo site's Project and Scan so far.
-fn below_metrics(stats: &StatsCell, site: &MemoSite<'_>) -> [(u64, u64); 2] {
-    let ops = par::relock(stats);
-    site.below.map(|id| (ops[id].rows_out, ops[id].batches))
+/// Where a completed capture is kept.
+#[derive(Clone, Copy)]
+enum Keep<'a> {
+    /// The database's projection memo.
+    Memo(MemoSite<'a>),
+    /// Slot `k` of the request's [`Shares`].
+    Share(usize),
 }
 
-/// Memo entries completed during one plan run, inserted into the
-/// database only once the whole run has succeeded.
-type Captured<'a> = Arc<Mutex<Vec<(MemoSite<'a>, MemoEntry)>>>;
+/// Captures completed during one plan run, with the plan ids of their
+/// root and the nodes below it, kept only once the whole run succeeded.
+type Captured<'a> = Arc<Mutex<Vec<(Keep<'a>, Vec<usize>, MemoEntry)>>>;
 
-/// What a `Distinct` heading a memo site that missed records for the
-/// memo: [`below_metrics`] after each batch it emits. At end-of-stream
-/// its emitted batches complete the entry, which goes to the run's
-/// [`Captured`] list; a consumer that stops early leaves it incomplete.
+/// What a subtree that missed its memo site or request share records:
+/// the `(rows_out, batches)` of the nodes below its root after `open`
+/// and after each `next`, and the batches it emits. At end-of-stream the
+/// entry goes to the run's [`Captured`] list; a consumer that stops
+/// early leaves it incomplete.
 struct MemoCapture<'a> {
-    site: MemoSite<'a>,
+    keep: Keep<'a>,
+    /// The root, then the nodes below it in pre-order.
+    ids: Vec<usize>,
     stats: StatsCell,
-    below: Vec<[(u64, u64); 2]>,
+    below: Vec<Vec<(u64, u64)>>,
+    emitted: Vec<ColumnBatch>,
     captured: Captured<'a>,
 }
 
 impl MemoCapture<'_> {
     fn record(&mut self) {
-        self.below.push(below_metrics(&self.stats, &self.site));
+        let ops = par::relock(&self.stats);
+        self.below
+            .push(self.ids[1..].iter().map(|&id| (ops[id].rows_out, ops[id].batches)).collect());
     }
 
-    fn finish(mut self, emitted: &[ColumnBatch]) {
-        self.record();
-        let entry = MemoEntry { batches: Arc::new(emitted.to_vec()), below: self.below };
-        par::relock(&self.captured).push((self.site, entry));
+    fn finish(self) {
+        let entry =
+            MemoEntry { batches: Arc::new(self.emitted), below: self.below, notes: Vec::new() };
+        par::relock(&self.captured).push((self.keep, self.ids, entry));
+    }
+}
+
+/// The shim over a subtree root that records a [`MemoCapture`].
+struct Capturing<'a> {
+    inner: Box<dyn Operator + 'a>,
+    capture: Option<MemoCapture<'a>>,
+}
+
+impl Operator for Capturing<'_> {
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.inner.open()?;
+        if let Some(capture) = &mut self.capture {
+            capture.record();
+        }
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
+        let r = self.inner.next()?;
+        if let Some(capture) = &mut self.capture {
+            capture.record();
+            match &r {
+                Some(batch) => capture.emitted.push(batch.clone()),
+                None => self.capture.take().map_or((), MemoCapture::finish),
+            }
+        }
+        Ok(r)
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
+    }
+
+    fn note(&self) -> Option<String> {
+        self.inner.note()
+    }
+
+    fn parallel_info(&self) -> Option<(u32, Duration)> {
+        self.inner.parallel_info()
+    }
+
+    fn mem_bytes(&self) -> u64 {
+        self.inner.mem_bytes()
+    }
+}
+
+/// The batches of the subtrees that several plans of one request compute
+/// alike, each executed once per request. The caller elects the shares
+/// and maps each plan's consumer sites to share slots
+/// ([`run_plan_sharing`]). A site whose slot is empty runs its subtree;
+/// when the subtree drains to end-of-stream in a run that succeeds, the
+/// slot keeps its batches and per-node `(rows_out, batches)` after each
+/// call, stored by pre-order position. A site whose slot is filled
+/// replays it and writes those counts into its own nodes, so every
+/// plan's [`ExecStats`] rows and batches equal its solo run's.
+pub struct Shares {
+    slots: Mutex<Vec<Option<Arc<MemoEntry>>>>,
+}
+
+impl Shares {
+    /// `n` empty share slots.
+    pub fn new(n: usize) -> Shares {
+        Shares { slots: Mutex::new(vec![None; n]) }
+    }
+
+    /// Drops share `k`'s batches, once its last consumer has run.
+    pub fn release(&self, k: usize) {
+        par::relock(&self.slots)[k] = None;
+    }
+
+    fn get(&self, k: usize) -> Option<Arc<MemoEntry>> {
+        par::relock(&self.slots)[k].clone()
+    }
+
+    /// Keeps the first capture of share `k`.
+    fn fill(&self, k: usize, entry: MemoEntry) {
+        par::relock(&self.slots)[k].get_or_insert_with(|| Arc::new(entry));
     }
 }
 
@@ -1566,8 +1701,6 @@ struct Distinct<'a> {
     kept_bytes: u64,
     /// Every column of the input: the whole row is the key.
     cols: Vec<usize>,
-    /// Set when this `Distinct` heads a memo site that missed.
-    capture: Option<MemoCapture<'a>>,
 }
 
 impl Operator for Distinct<'_> {
@@ -1608,13 +1741,7 @@ impl Operator for Distinct<'_> {
             let out = if fresh.len() == batch.len() { batch } else { batch.gather(&fresh) };
             self.kept_bytes += out.byte_size();
             self.kept.push(out.clone());
-            if let Some(capture) = &mut self.capture {
-                capture.record();
-            }
             return Ok(Some(out));
-        }
-        if let Some(capture) = self.capture.take() {
-            capture.finish(&self.kept);
         }
         Ok(None)
     }
@@ -1732,6 +1859,7 @@ pub type SharedRows = HashMap<usize, Arc<Vec<ColumnBatch>>>;
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<SharedRows>();
+    assert_send_sync::<Shares>();
     assert_send_sync::<StatsCell>();
     assert_send_sync::<JoinTable>();
     assert_send_sync::<Partial>();
@@ -1746,6 +1874,11 @@ struct BuildCx<'a> {
     /// Whether a budget governor is installed (see [`Guarded`]).
     governed: bool,
     shared: &'a SharedRows,
+    /// The request's shares and this plan's sites of them (node id →
+    /// share slot).
+    shares: Option<(&'a Shares, &'a HashMap<usize, usize>)>,
+    /// Share sites that replayed.
+    replays: Cell<u64>,
     opts: ExecOptions,
     captured: Captured<'a>,
 }
@@ -1754,17 +1887,26 @@ fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecEr
     if let Some(batches) = cx.shared.get(&node.id) {
         return Ok(replay(node, CachedRows::new(Arc::clone(batches)), cx));
     }
-    let site = memo_site(node, cx.shared);
-    if let Some(site) = &site {
+    let share = cx.shares.and_then(|(shares, sites)| Some((shares, *sites.get(&node.id)?)));
+    let keep = if let Some((shares, k)) = share {
+        if let Some(entry) = shares.get(k) {
+            SHARE_HITS.add(1);
+            cx.replays.set(cx.replays.get() + 1);
+            return Ok(replay(node, CachedRows::replaying(entry, node, cx, true), cx));
+        }
+        SHARE_MISSES.add(1);
+        Some(Keep::Share(k))
+    } else if let Some(site) = memo_site(node, cx.shared) {
         let hit = cx.db.memoized_projection(site.relation, site.cols);
         if let Some(entry) = hit.and_then(|v| v.downcast::<MemoEntry>().ok()) {
             MEMO_HITS.add(1);
-            let mut cached = CachedRows::new(Arc::clone(&entry.batches));
-            cached.memo = Some((entry, site.below, cx.stats.clone()));
-            return Ok(replay(node, cached, cx));
+            return Ok(replay(node, CachedRows::replaying(entry, node, cx, false), cx));
         }
         MEMO_MISSES.add(1);
-    }
+        Some(Keep::Memo(site))
+    } else {
+        None
+    };
     let child = |i: usize| build(&node.children[i], cx);
     let inner: Box<dyn Operator + 'a> = match &node.op {
         PlanOp::Scan { relation, pushed, .. } => scan(relation, pushed, cx, None)?,
@@ -1823,12 +1965,6 @@ fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecEr
             kept: Vec::new(),
             kept_bytes: 0,
             cols: Vec::new(),
-            capture: site.map(|site| MemoCapture {
-                site,
-                stats: cx.stats.clone(),
-                below: Vec::new(),
-                captured: Arc::clone(&cx.captured),
-            }),
         }),
         PlanOp::Sort { keys } => Box::new(Sort {
             child: child(0)?,
@@ -1839,6 +1975,20 @@ fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecEr
             emitted: 0,
         }),
         PlanOp::Limit { n } => Box::new(Limit { child: child(0)?, remaining: *n }),
+    };
+    let inner: Box<dyn Operator + 'a> = match keep {
+        Some(keep) => Box::new(Capturing {
+            inner,
+            capture: Some(MemoCapture {
+                keep,
+                ids: subtree_ids(node),
+                stats: cx.stats.clone(),
+                below: Vec::new(),
+                emitted: Vec::new(),
+                captured: Arc::clone(&cx.captured),
+            }),
+        }),
+        None => inner,
     };
     Ok(metered(node, inner, cx))
 }
@@ -1908,8 +2058,31 @@ pub fn run_plan_opts(
     opts: ExecOptions,
 ) -> Result<(ResultTable, ExecStats), ExecError> {
     let (batches, stats) = materialize_batches(plan, db, shared, opts)?;
+    Ok((result_table(plan, &batches), stats))
+}
+
+/// [`run_plan_opts`] for one of the plans of a request that share
+/// subtrees: `sites` maps node ids of `plan` to slots of `shares`. A
+/// site whose slot is filled replays it, noted `shared`; otherwise its
+/// subtree runs, and fills the slot if it drains to end-of-stream and
+/// the whole run succeeds. The result and every node's rows and batches
+/// equal those of the plan run alone; only the wall time falls.
+pub fn run_plan_sharing(
+    plan: &PlanNode,
+    db: &Database,
+    shares: &Shares,
+    sites: &HashMap<usize, usize>,
+    opts: ExecOptions,
+) -> Result<(ResultTable, ExecStats), ExecError> {
+    let (batches, stats) = run(plan, db, &SharedRows::new(), Some((shares, sites)), opts)?;
+    Ok((result_table(plan, &batches), stats))
+}
+
+/// `plan`'s output batches as its result table, stably sorted by value
+/// when the plan has no ORDER BY.
+fn result_table(plan: &PlanNode, batches: &[ColumnBatch]) -> ResultTable {
     let mut rows: Vec<Row> = Vec::new();
-    for b in &batches {
+    for b in batches {
         rows.extend(b.to_rows());
     }
     if !plan.is_ordered() {
@@ -1917,7 +2090,7 @@ pub fn run_plan_opts(
     }
     let mut table = ResultTable::new(plan.output_names());
     table.rows = rows;
-    Ok((table, stats))
+    table
 }
 
 /// Builds, opens and drains a plan, returning its raw output *batches*
@@ -1932,6 +2105,16 @@ pub fn materialize_batches(
     shared: &SharedRows,
     opts: ExecOptions,
 ) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
+    run(plan, db, shared, None, opts)
+}
+
+fn run<'a>(
+    plan: &'a PlanNode,
+    db: &'a Database,
+    shared: &'a SharedRows,
+    shares: Option<(&'a Shares, &'a HashMap<usize, usize>)>,
+    opts: ExecOptions,
+) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
     let t0 = Instant::now();
     let cx = BuildCx {
         db,
@@ -1940,6 +2123,8 @@ pub fn materialize_batches(
         // shims entirely, keeping the default path free.
         governed: aqks_guard::current().is_some(),
         shared,
+        shares,
+        replays: Cell::new(0),
         opts,
         captured: Captured::default(),
     };
@@ -1954,15 +2139,29 @@ pub fn materialize_batches(
     root.close();
     drop(root);
 
-    // The run succeeded: memoize the sites it computed to end-of-stream.
+    // The run succeeded: keep the memo sites and shares it computed to
+    // end-of-stream.
     let captured = std::mem::take(&mut *par::relock(&cx.captured));
-    if !captured.is_empty() {
-        for (site, entry) in captured {
-            let rows: u64 = entry.batches.iter().map(|b| b.len() as u64).sum();
-            let cells = rows * site.cols.len() as u64;
-            db.memoize_projection(site.relation, site.cols, Arc::new(entry), cells);
+    for (keep, ids, mut entry) in captured {
+        match keep {
+            Keep::Memo(site) => {
+                let rows: u64 = entry.batches.iter().map(|b| b.len() as u64).sum();
+                let cells = rows * site.cols.len() as u64;
+                db.memoize_projection(site.relation, site.cols, Arc::new(entry), cells);
+                MEMO_CELLS.set(db.memo_cells() as i64);
+            }
+            Keep::Share(k) => {
+                let ops = par::relock(&cx.stats);
+                entry.notes = ids.iter().map(|&id| ops[id].note.clone()).collect();
+                drop(ops);
+                if let Some((shares, _)) = shares {
+                    shares.fill(k, entry);
+                }
+            }
         }
-        MEMO_CELLS.set(db.memo_cells() as i64);
+    }
+    if cx.replays.get() > 0 {
+        aqks_obs::counter("exec.share_replays", cx.replays.get());
     }
     let mut ops = Arc::try_unwrap(cx.stats)
         .map(|m| m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
@@ -2012,6 +2211,9 @@ static MEMO_HITS: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_memo_hit
 static MEMO_MISSES: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_memo_misses");
 /// Cells held by the memo of the database a run last filled.
 static MEMO_CELLS: aqks_obs::Gauge = aqks_obs::Gauge::new("aqks_exec_memo_cells");
+/// Request share sites replayed from, and computed for, [`Shares`].
+static SHARE_HITS: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_share_hits");
+static SHARE_MISSES: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_share_misses");
 
 /// Short operator name for trace spans (the EXPLAIN label minus its
 /// plan-specific detail, so span names are stable across queries).
@@ -3046,6 +3248,89 @@ mod tests {
             assert!(notes.iter().all(|n| n.as_deref() != Some("memo")), "over the cap");
         }
         assert_eq!(db.memo_cells(), db.total_cells());
+    }
+
+    // -----------------------------------------------------------------
+    // Request shares
+    // -----------------------------------------------------------------
+
+    /// 3000 rows each of L and R, joined on V: about 8,200 rows out.
+    fn share_db() -> Database {
+        let rows: Vec<Row> =
+            (0..3000).map(|i| row(Value::Int(i), Value::str("k"), Value::Null, i % 1100)).collect();
+        keyed_db(&[("L", rows.clone()), ("R", rows)])
+    }
+
+    /// Output rows, per-operator rows and notes of one run.
+    type MemoRun = (Vec<Row>, OpRows, Vec<Option<String>>);
+
+    /// [`memo_run`] of `stmt` with its hash join as the site of share 0.
+    fn share_run(
+        stmt: &SelectStatement,
+        db: &Database,
+        shares: &Shares,
+        threads: usize,
+    ) -> Result<MemoRun, ExecError> {
+        let p = plan(stmt, db).unwrap();
+        let mut join = None;
+        p.visit(&mut |n| {
+            if matches!(n.op, PlanOp::HashJoin { .. }) {
+                join = Some(n.id);
+            }
+        });
+        let sites = HashMap::from([(join.unwrap(), 0)]);
+        let (t, stats) =
+            run_plan_sharing(&p, db, shares, &sites, ExecOptions::with_threads(threads))?;
+        let rows = stats.ops.iter().map(|m| (m.rows_in, m.rows_out, m.batches)).collect();
+        Ok((t.rows, rows, stats.ops.into_iter().map(|m| m.note).collect()))
+    }
+
+    /// A filled share replays at any thread count, and under a `LIMIT`,
+    /// with the rows and per-operator rows and batches of a solo run.
+    #[test]
+    fn shares_replay_with_the_metrics_they_were_computed_with() {
+        let db = share_db();
+        let stmt = join_stmt(&["V"]);
+        for threads in [1, 4] {
+            let shares = Shares::new(1);
+            let solo = memo_run(&stmt, &db, threads);
+            let computed = share_run(&stmt, &db, &shares, threads).unwrap();
+            assert!(shares.get(0).is_some(), "the share was filled");
+            assert!(computed.2.iter().flatten().all(|n| !n.starts_with("shared")));
+            let replayed = share_run(&stmt, &db, &shares, threads).unwrap();
+            assert_eq!((&replayed.0, &replayed.1), (&solo.0, &solo.1), "threads={threads}");
+            let shared = replayed.2.iter().flatten().filter(|n| n.starts_with("shared"));
+            assert_eq!(shared.count(), 1, "the replayed root");
+            for n in [1, 1024, 5000] {
+                let warm = share_run(&limited(stmt.clone(), n), &db, &shares, threads).unwrap();
+                let solo = memo_run(&limited(stmt.clone(), n), &db, threads);
+                assert_eq!((warm.0, warm.1), (solo.0, solo.1), "LIMIT {n}");
+            }
+            shares.release(0);
+            assert!(shares.get(0).is_none());
+        }
+    }
+
+    /// A consumer that stops early or trips its budget fills nothing;
+    /// the next one computes the share.
+    #[test]
+    fn shares_fill_only_from_runs_that_drain_them_and_succeed() {
+        let db = share_db();
+        let stmt = join_stmt(&["V"]);
+        let shares = Shares::new(1);
+        share_run(&limited(stmt.clone(), 1), &db, &shares, 1).unwrap();
+        assert!(shares.get(0).is_none(), "LIMIT stopped the join early");
+        {
+            let gov =
+                aqks_guard::Governor::new(&aqks_guard::Budget::unlimited().with_max_rows(7000));
+            let _g = aqks_guard::install(&gov);
+            let tripped = share_run(&stmt, &db, &shares, 1);
+            assert!(matches!(tripped, Err(ExecError::Budget(_))));
+        }
+        assert!(shares.get(0).is_none(), "the run tripped its budget");
+        let computed = share_run(&stmt, &db, &shares, 1).unwrap();
+        assert!(computed.2.iter().flatten().all(|n| !n.starts_with("shared")));
+        assert!(shares.get(0).is_some());
     }
 
     /// A node the shared-subplan map replays is never memoized.
