@@ -30,19 +30,18 @@
 //! error-severity findings. `--plans` additionally lowers every
 //! interpretation to its physical plan and runs the plan verifier
 //! (`aqks-plancheck`) on it, printing each plan's fingerprint. `--equiv`
-//! partitions each query's interpretations into semantic equivalence
-//! classes (`aqks-equiv`): plans with the same canonical fingerprint
-//! are duplicate work even when their structural fingerprints differ.
+//! plans each interpretation with and without predicate pushdown, and
+//! both plans must verify and execute to the same rows; interpretations
+//! that plan identically are reported as duplicate work (`aqks-equiv`).
 //!
 //! Subcommand `aqks explain [--analyze] [--shared] [--dataset NAME]
 //! [QUERY]` prints the physical operator tree of each generated
 //! statement with its statically inferred properties (keys, ordering,
 //! row bounds) and its normalized fingerprint; `--analyze` additionally
 //! executes the plan and annotates every operator with rows in/out and
-//! wall time. `--shared` instead prints the deduplicated execution set:
-//! one canonical plan per equivalence class, with subtrees common to
-//! two or more plans elided to numbered shared-subplan references that
-//! would be materialized once.
+//! wall time. `--shared` instead prints each query's execution set: one
+//! plan per class of equal plans, with the join subtrees `Engine::run`
+//! executes once elided to numbered shared-subplan references.
 //!
 //! Subcommand `aqks trace [--dataset NAME] [QUERY]` answers the query
 //! with the `aqks-obs` recorder enabled and prints the pipeline span
@@ -492,60 +491,45 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
     failures
 }
 
-/// Plans every interpretation of every query, partitions the plans into
-/// semantic equivalence classes, and prints the deduplicated execution
-/// set: each class representative's canonical tree, with subtrees
-/// common to two or more representatives elided to numbered
-/// shared-subplan references. Returns the number of failures.
+/// Plans every interpretation of each query, groups equal plans, and
+/// prints the execution set `Engine::run` would use: each class
+/// representative's tree, with the join subtrees the engine's election
+/// shares elided to numbered shared-subplan references. Returns the
+/// number of failures.
 fn run_explain_shared(engine: &Engine, queries: &[String], k: usize) -> usize {
     let db = engine.database();
     let mut failures = 0;
-    let mut plans = Vec::new();
     for q in queries {
         println!("── explain --shared `{q}`");
-        match engine.interpretation_plans(q, k) {
-            Ok(pairs) => {
-                for (rank, (g, p)) in pairs.into_iter().enumerate() {
-                    println!(
-                        "interpretation #{} (plan #{}): {}",
-                        rank + 1,
-                        plans.len(),
-                        g.sql_text
-                    );
-                    plans.push(p);
-                }
-            }
+        let plans: Vec<aqks_sqlgen::PlanNode> = match engine.interpretation_plans(q, k) {
+            Ok(pairs) => pairs
+                .into_iter()
+                .enumerate()
+                .map(|(rank, (g, p))| {
+                    println!("interpretation #{} (plan #{rank}): {}", rank + 1, g.sql_text);
+                    p
+                })
+                .collect(),
             Err(e) => {
                 println!("  error: {e}");
                 failures += 1;
+                continue;
+            }
+        };
+        let Ok(analysis) = aqks_equiv::analyze(&plans, db);
+        println!(
+            "── shared execution set: {} plan(s) -> {} class(es), {} duplicate(s) elided",
+            plans.len(),
+            analysis.classes.len(),
+            analysis.duplicates()
+        );
+        for (ci, class) in analysis.classes.iter().enumerate() {
+            if class.members.len() > 1 {
+                let members: Vec<String> = class.members.iter().map(|m| format!("#{m}")).collect();
+                println!("class {ci} [{:016x}]: plans {}", class.fingerprint, members.join(", "));
             }
         }
-    }
-    match aqks_equiv::analyze(&plans, db) {
-        Ok(analysis) => {
-            println!(
-                "── shared execution set: {} plan(s) -> {} class(es), {} duplicate(s) elided",
-                plans.len(),
-                analysis.classes.len(),
-                analysis.duplicates()
-            );
-            for (ci, class) in analysis.classes.iter().enumerate() {
-                if class.members.len() > 1 {
-                    let members: Vec<String> =
-                        class.members.iter().map(|m| format!("#{m}")).collect();
-                    println!(
-                        "class {ci} [{:016x}]: plans {}",
-                        class.fingerprint,
-                        members.join(", ")
-                    );
-                }
-            }
-            print!("{}", aqks_equiv::render_shared(&aqks_equiv::shared_set(&analysis)));
-        }
-        Err(e) => {
-            println!("  equivalence analysis error: {e}");
-            failures += 1;
-        }
+        print!("{}", aqks_equiv::render_shared(&aqks_equiv::shared_set(&analysis)));
     }
     failures
 }
@@ -647,83 +631,73 @@ fn run_metrics(engine: &Engine, queries: &[String], k: usize, json: bool) -> usi
     failures
 }
 
-/// Semantic-equivalence check for one query's interpretation set: each
-/// interpretation is planned with and without predicate pushdown and
-/// both variants are canonicalized (`aqks-equiv`) — a pair that fails
-/// to converge to one equivalence class, or a planner plan the
-/// canonicalizer cannot certify, is an error. Classes spanning several
-/// interpretations are reported as duplicate execution work. Returns
-/// the error count.
+/// Pushdown check for one query's interpretation set: each
+/// interpretation is planned with and without predicate pushdown, and
+/// both plans must verify and execute to the same sorted rows.
+/// Interpretations whose plans are the same plan (`aqks-equiv`) are
+/// reported as duplicate execution work. Returns the error count.
 fn check_equiv(generated: &[aqks_core::GeneratedSql], db: &Database) -> usize {
     let mut errors = 0usize;
-    let mut flat: Vec<aqks_sqlgen::PlanNode> = Vec::new();
+    let mut plans: Vec<aqks_sqlgen::PlanNode> = Vec::new();
     let mut owner: Vec<usize> = Vec::new(); // plan index -> interpretation rank
     for (rank, g) in generated.iter().enumerate() {
-        let on = aqks_sqlgen::plan(&g.sql, db);
-        let off = aqks_sqlgen::plan_with_options(
-            &g.sql,
-            db,
-            &aqks_sqlgen::PlanOptions { pushdown: false },
-        );
-        match (on, off) {
-            (Ok(a), Ok(b)) => {
-                flat.push(a);
-                owner.push(rank);
-                flat.push(b);
+        match pushdown_agrees(&g.sql, db) {
+            Ok(p) => {
+                plans.push(p);
                 owner.push(rank);
             }
-            (Err(e), _) | (_, Err(e)) => {
+            Err(e) => {
                 errors += 1;
-                println!("  equiv #{}: plan error: {e}", rank + 1);
+                println!("  equiv #{}: {e}", rank + 1);
             }
         }
     }
-    let analysis = match aqks_equiv::analyze(&flat, db) {
-        Ok(a) => a,
-        Err(e) => {
-            // A planner-produced plan the canonicalizer cannot certify
-            // is a bug in one of the two.
-            errors += 1;
-            println!("  equiv: REJECTED {e}");
-            return errors;
-        }
-    };
-    let mut class_of = vec![0usize; flat.len()];
-    for (ci, class) in analysis.classes.iter().enumerate() {
-        for &m in &class.members {
-            class_of[m] = ci;
-        }
-    }
-    let mut diverged = 0usize;
-    for i in (0..flat.len()).step_by(2) {
-        if class_of[i] != class_of[i + 1] {
-            errors += 1;
-            diverged += 1;
-            println!(
-                "  equiv #{}: pushdown variants did not converge to one canonical form",
-                owner[i] + 1
-            );
-        }
-    }
+    let Ok(analysis) = aqks_equiv::analyze(&plans, db);
     println!(
         "  equiv: {} interpretation(s) -> {} class(es){}",
         generated.len(),
         analysis.classes.len(),
-        if diverged == 0 { "; pushdown variants converge" } else { "" }
+        if errors == 0 { "; pushdown variants agree" } else { "" }
     );
-    for (ci, class) in analysis.classes.iter().enumerate() {
-        let interps: std::collections::BTreeSet<usize> =
-            class.members.iter().map(|&m| owner[m]).collect();
-        if interps.len() > 1 {
-            let names: Vec<String> = interps.iter().map(|r| format!("#{}", r + 1)).collect();
-            println!(
-                "    class {ci} [{:016x}]: interpretations {} are semantically identical",
-                class.fingerprint,
-                names.join(", ")
-            );
-        }
+    for (ci, class) in analysis.classes.iter().enumerate().filter(|(_, c)| c.members.len() > 1) {
+        let names: Vec<String> =
+            class.members.iter().map(|&m| format!("#{}", owner[m] + 1)).collect();
+        println!(
+            "    class {ci} [{:016x}]: interpretations {} plan identically",
+            class.fingerprint,
+            names.join(", ")
+        );
     }
     errors
+}
+
+/// Plans `sql` with and without predicate pushdown, verifies and
+/// executes both, and returns the pushdown plan when the two agree on
+/// the sorted rows.
+fn pushdown_agrees(
+    sql: &aqks_sqlgen::SelectStatement,
+    db: &Database,
+) -> Result<aqks_sqlgen::PlanNode, String> {
+    let variant = |pushdown: bool| {
+        let opts = aqks_sqlgen::PlanOptions { pushdown };
+        let p = aqks_sqlgen::plan_with_options(sql, db, &opts)
+            .map_err(|e| format!("plan error (pushdown={pushdown}): {e}"))?;
+        aqks_plancheck::verify(&p, db, Some(sql))
+            .map_err(|e| format!("REJECTED (pushdown={pushdown}) {e}"))?;
+        let (table, _) = aqks_sqlgen::run_plan(&p, db)
+            .map_err(|e| format!("exec error (pushdown={pushdown}): {e}"))?;
+        Ok::<_, String>((p, table.sorted().rows))
+    };
+    let (on, on_rows) = variant(true)?;
+    let (_, off_rows) = variant(false)?;
+    if on_rows != off_rows {
+        return Err(format!(
+            "pushdown changed the answer: {} row(s) with it, {} without",
+            on_rows.len(),
+            off_rows.len()
+        ));
+    }
+    Ok(on)
 }
 
 /// Statically analyzes the SQL both engines generate for `queries`;
@@ -778,12 +752,10 @@ fn run_check(
                         }
                     }
                 }
-                // Semantic-equivalence check: each interpretation is
-                // planned with and without predicate pushdown, and the
-                // canonicalizer must prove the two variants are the same
-                // plan (one class per interpretation). Interpretations
-                // sharing a class are flagged — they are the same query
-                // in different clothes, i.e. duplicate execution work.
+                // Pushdown check: each interpretation's plans with and
+                // without predicate pushdown must return the same rows.
+                // Interpretations that plan identically are flagged as
+                // duplicate execution work.
                 if equiv {
                     errors += check_equiv(&generated, db);
                 }

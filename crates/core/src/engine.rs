@@ -19,6 +19,7 @@ use aqks_guard::{Budget, Exhaustion, Governor};
 use aqks_obs::metrics::{Counter, Gauge, Histogram, LabeledHistogram, Unit};
 use aqks_obs::{PipelineTrace, Recorder};
 use aqks_orm::OrmGraph;
+use aqks_plancheck::Election;
 use aqks_relational::{Database, DatabaseSchema, NormalizedView};
 use aqks_sqlgen::{ExecStats, ResultTable, SelectStatement};
 
@@ -28,7 +29,6 @@ use crate::matching::{Matcher, TermMatch, TermRole};
 use crate::pattern::{generate_patterns, QueryPattern};
 use crate::query::{KeywordQuery, Operator, Term};
 use crate::rank::rank_patterns;
-use crate::share::Election;
 use crate::translate::{translate_ex, TranslateOptions};
 use crate::unnormalized::{rewrite, RewriteOptions};
 
@@ -344,7 +344,7 @@ impl Engine {
     }
 
     /// [`Engine::generate`] with each interpretation lowered to its
-    /// physical plan — the input shape equivalence analysis
+    /// physical plan — the input shape the shared-subplan view
     /// (`aqks-equiv`) and the CLI's `--equiv`/`--shared` surfaces
     /// consume: one `(statement, plan)` pair per interpretation.
     pub fn interpretation_plans(
@@ -544,11 +544,11 @@ impl Engine {
 
     /// Generates the top-`k` interpretations, plans and checks them all,
     /// then executes them in rank order. Subtrees that two or more plans
-    /// compute alike (see [`crate::share`]) run once per request: the
-    /// first plan that drains one to end-of-stream in a run that succeeds
-    /// keeps its batches, and later plans replay them with the same
-    /// per-operator rows and batches. A share is dropped once its last
-    /// consumer has run.
+    /// compute alike (see [`aqks_plancheck::share`]) run once per
+    /// request: the first plan that drains one to end-of-stream in a run
+    /// that succeeds keeps its batches, and later plans replay them with
+    /// the same per-operator rows and batches. A share is dropped once
+    /// its last consumer has run.
     fn answer_inner(
         &self,
         rec: &Recorder,

@@ -40,7 +40,6 @@ pub mod matching;
 pub mod pattern;
 pub mod query;
 pub mod rank;
-mod share;
 pub mod translate;
 pub mod unnormalized;
 

@@ -1,9 +1,8 @@
-//! Common-subplan extraction and shared execution.
+//! Shared-subplan sets and their execution.
 //!
-//! Hash-conses canonical subtrees across one interpretation set: a
-//! subtree whose canonical fingerprint occurs at two or more places
-//! (across class representatives, or twice within one plan) becomes a
-//! *share point*. The shared-subplan DAG executes each shared subtree
+//! [`shared_set`] runs [`Election::elect`] over one plan per class: each
+//! maximal join subtree that two or more of those plans compute alike
+//! becomes a *share point*. [`run_shared`] executes each shared subtree
 //! once; its materialized rows feed every consumer through the
 //! executor's cached-rows operator, with guard checkpoints and
 //! per-operator metering preserved.
@@ -11,19 +10,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aqks_plancheck::fingerprint;
+use aqks_plancheck::{fingerprint, Election};
 use aqks_relational::Database;
 use aqks_sqlgen::{
     materialize_batches, run_plan_opts, ColumnBatch, ExecError, ExecOptions, ExecStats, PlanNode,
     ResultTable, SharedRows,
 };
 
-use crate::classes::ClassAnalysis;
+use crate::ClassAnalysis;
 
 /// A shared subtree: executed once, consumed at every listed site.
 #[derive(Debug, Clone)]
 pub struct SharePoint {
-    /// Canonical fingerprint of the shared subtree.
+    /// Fingerprint of the shared subtree.
     pub fingerprint: u64,
     /// The subtree itself (fresh pre-order ids, rooted at 0).
     pub subtree: PlanNode,
@@ -32,15 +31,13 @@ pub struct SharePoint {
     pub consumers: Vec<(usize, usize)>,
 }
 
-/// A deduplicated interpretation set with its share points: one
-/// representative plan per equivalence class, plus the shared-subplan
-/// DAG connecting them.
+/// A deduplicated interpretation set with its share points: one plan
+/// per class, plus the shared-subplan DAG connecting them.
 #[derive(Debug, Clone)]
 pub struct SharedSet {
-    /// One canonical representative per equivalence class, in class
-    /// order.
+    /// One representative per class, in class order.
     pub plans: Vec<PlanNode>,
-    /// Maximal repeated subtrees, largest first.
+    /// Elected subtrees, largest first.
     pub shares: Vec<SharePoint>,
 }
 
@@ -58,71 +55,21 @@ pub struct SharedRun {
 }
 
 /// Builds the shared-subplan DAG over the class representatives of
-/// `analysis`. Share points are maximal: candidates are considered
-/// largest-subtree first, and a candidate is dropped when any of its
-/// occurrences overlaps an already-shared region. Bare scans (single
-/// nodes) are never shared — replaying a materialized scan moves as
-/// many rows as rescanning it. Emits the `equiv.shared_subtrees`
-/// counter when an ambient span is active.
+/// `analysis` with the engine's own [`Election`], so the share points
+/// are exactly the subtrees `Engine::run` executes once. Emits the
+/// `equiv.shared_subtrees` counter when an ambient span is active.
 pub fn shared_set(analysis: &ClassAnalysis) -> SharedSet {
-    let plans: Vec<PlanNode> =
-        analysis.classes.iter().map(|c| analysis.canonical[c.members[0]].plan.clone()).collect();
-
-    // Collect candidate subtrees by canonical fingerprint. Canonical
-    // plans carry fresh pre-order ids, so a subtree rooted at id `x`
-    // with `s` nodes occupies exactly the id interval [x, x+s).
-    struct Cand {
-        subtree: PlanNode,
-        size: usize,
-        occurrences: Vec<(usize, usize)>,
-    }
-    let mut by_fp: HashMap<u64, Cand> = HashMap::new();
-    let mut order: Vec<u64> = Vec::new();
-    for (pi, plan) in plans.iter().enumerate() {
-        plan.visit(&mut |n| {
-            let size = n.node_count();
-            if size < 2 {
-                return;
-            }
-            let fp = fingerprint(n);
-            let cand = by_fp.entry(fp).or_insert_with(|| {
-                order.push(fp);
-                Cand { subtree: n.clone(), size, occurrences: Vec::new() }
-            });
-            cand.occurrences.push((pi, n.id));
-        });
-    }
-
-    // Largest first; fingerprint ties broken by first appearance so
-    // the result is deterministic.
-    let mut cands: Vec<(u64, Cand)> = order
+    let plans: Vec<PlanNode> = analysis.classes.iter().map(|c| c.plan.clone()).collect();
+    let shares: Vec<SharePoint> = Election::elect(&plans)
+        .shares
         .into_iter()
-        .filter_map(|fp| {
-            let c = by_fp.remove(&fp)?;
-            (c.occurrences.len() >= 2).then_some((fp, c))
+        .map(|consumers| {
+            let (pi, id) = consumers[0];
+            let mut subtree = find(&plans[pi], id).clone();
+            reassign_ids(&mut subtree, &mut 0);
+            SharePoint { fingerprint: fingerprint(&subtree), subtree, consumers }
         })
         .collect();
-    cands.sort_by_key(|c| std::cmp::Reverse(c.1.size));
-
-    let mut covered: Vec<Vec<(usize, usize)>> = vec![Vec::new(); plans.len()];
-    let overlaps = |covered: &[Vec<(usize, usize)>], pi: usize, lo: usize, hi: usize| {
-        covered[pi].iter().any(|&(a, b)| lo < b && a < hi)
-    };
-    let mut shares: Vec<SharePoint> = Vec::new();
-    for (fp, cand) in cands {
-        let clear =
-            cand.occurrences.iter().all(|&(pi, id)| !overlaps(&covered, pi, id, id + cand.size));
-        if !clear {
-            continue;
-        }
-        for &(pi, id) in &cand.occurrences {
-            covered[pi].push((id, id + cand.size));
-        }
-        let mut subtree = cand.subtree;
-        reassign_ids(&mut subtree, &mut 0);
-        shares.push(SharePoint { fingerprint: fp, subtree, consumers: cand.occurrences });
-    }
-
     aqks_obs::counter("equiv.shared_subtrees", shares.len() as u64);
     if aqks_obs::metrics::enabled() {
         SHARED_SUBTREES.add(shares.len() as u64);
@@ -243,6 +190,18 @@ fn render_tree(
     for (i, c) in node.children.iter().enumerate() {
         render_tree(c, &child_prefix, i + 1 == n, false, marks, out);
     }
+}
+
+/// The node of `plan` with id `id`; the election only names ids it
+/// found in `plan`.
+fn find(plan: &PlanNode, id: usize) -> &PlanNode {
+    let mut hit = None;
+    plan.visit(&mut |n| {
+        if n.id == id {
+            hit = Some(n);
+        }
+    });
+    hit.expect("elected node id is in its plan")
 }
 
 fn reassign_ids(node: &mut PlanNode, next: &mut usize) {

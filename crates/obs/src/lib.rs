@@ -34,7 +34,7 @@
 //!
 //! * [`metrics`] — an always-on registry of counters, gauges, and
 //!   log-linear histograms (lock-free recording, zero-alloc disabled
-//!   path, allocation-free histogram merges);
+//!   path);
 //! * [`flight`] — a bounded ring-buffer flight recorder keeping the N
 //!   most recent [`PipelineTrace`]s plus the slowest and last
 //!   budget-tripped exemplars;

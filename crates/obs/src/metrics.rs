@@ -97,10 +97,6 @@ impl CounterCell {
         self.value.load(Ordering::Relaxed)
     }
 
-    fn merge_from(&self, other: &CounterCell) {
-        self.value.fetch_add(other.get(), Ordering::Relaxed);
-    }
-
     fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
@@ -163,24 +159,6 @@ impl HistogramCell {
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Merges `other` into `self` without allocating — possible because
-    /// every histogram shares the same fixed bucket layout.
-    pub fn merge_from(&self, other: &HistogramCell) {
-        if other.count.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min.fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Immutable snapshot (sparse: only non-empty buckets).
@@ -283,8 +261,7 @@ struct Entry {
 ///
 /// Registration (first use of a name, or of a new label value) takes a
 /// mutex; recording through the returned [`Arc`] cells never does.
-/// Independent registries can be built for tests or scoped collection
-/// and merged with [`Registry::merge_from`].
+/// Independent registries can be built for tests or scoped collection.
 #[derive(Debug)]
 pub struct Registry {
     enabled: AtomicBool,
@@ -408,33 +385,6 @@ impl Registry {
             .collect();
         metrics.sort_by(|a, b| (a.name, a.label.map(|l| l.1)).cmp(&(b.name, b.label.map(|l| l.1))));
         Snapshot { metrics }
-    }
-
-    /// Merges every metric of `other` into `self`: counters and gauges
-    /// add, histograms merge bucket-wise (allocation-free per cell;
-    /// metrics `self` has never seen are registered first). Disjoint
-    /// registries therefore merge into their union.
-    pub fn merge_from(&self, other: &Registry) {
-        let entries: Vec<Entry> = relock(&other.inner).clone();
-        for e in entries {
-            match e.cell {
-                Cell::Counter(theirs) => {
-                    let mine = match e.label {
-                        Some((k, v)) => self.labeled_counter(e.name, k, v),
-                        None => self.counter(e.name),
-                    };
-                    mine.merge_from(&theirs);
-                }
-                Cell::Gauge(theirs) => self.gauge(e.name).add(theirs.get()),
-                Cell::Histogram(theirs, unit) => {
-                    let mine = match e.label {
-                        Some((k, v)) => self.labeled_histogram(e.name, k, v, unit),
-                        None => self.histogram(e.name, unit),
-                    };
-                    mine.merge_from(&theirs);
-                }
-            }
-        }
     }
 
     /// Zeroes every registered cell (names and labels stay registered).
@@ -801,31 +751,6 @@ mod tests {
         assert_eq!(s.max, u64::MAX);
         assert_eq!(s.quantile(1.0), u64::MAX);
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn merge_of_disjoint_registries_is_their_union() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("only_in_a").add(3);
-        a.histogram("shared_hist", Unit::Nanos).record(10);
-        b.counter("only_in_b").add(7);
-        b.histogram("shared_hist", Unit::Nanos).record(30);
-        b.labeled_counter("labeled", "site", "x").add(2);
-        a.merge_from(&b);
-        let s = a.snapshot();
-        assert_eq!(s.counter_total("only_in_a"), 3);
-        assert_eq!(s.counter_total("only_in_b"), 7);
-        assert_eq!(s.counter_total("labeled"), 2);
-        match &s.find("shared_hist", None).expect("merged histogram").value {
-            MetricValue::Histogram(h) => {
-                assert_eq!(h.count, 2);
-                assert_eq!(h.sum, 40);
-                assert_eq!(h.min, 10);
-                assert_eq!(h.max, 30);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! - [`mod@fingerprint`] hashes a canonical, estimate-free encoding of the
 //!   tree into the stable cache key the plan/result-caching roadmap
 //!   item consumes;
+//! - [`share`] decides which subtrees of a plan set are the same plan
+//!   (structural equality, ids ignored) and elects the repeated join
+//!   subtrees one request runs once;
 //! - [`mutate`] seeds realistic plan corruptions for tests, which the
 //!   verifier must reject with the matching diagnostic kind.
 //!
@@ -32,8 +35,10 @@
 pub mod fingerprint;
 pub mod mutate;
 pub mod props;
+pub mod share;
 pub mod verify;
 
 pub use fingerprint::{fingerprint, fingerprint_hex};
 pub use props::{ColProp, NodeProps};
+pub use share::{equal_classes, same_plan, Election};
 pub use verify::{render_verified, verify, verify_in_debug, PlanError, PlanErrorKind, Verified};

@@ -25,12 +25,8 @@ pub enum Mutation {
     /// Swaps a hash join's inputs *soundly*: keys, build side, output
     /// layout, and every ancestor's column references are remapped.
     /// Unlike the corruptions above, this mutation is semantics
-    /// preserving — the verifier must accept it, the structural
-    /// fingerprint moves, and `aqks-equiv` must place the mutant in the
-    /// same equivalence class as the original (while [`SwapJoinKeys`],
-    /// which swaps only the keys, must not).
-    ///
-    /// [`SwapJoinKeys`]: Mutation::SwapJoinKeys
+    /// preserving — the verifier must accept it, and the structural
+    /// fingerprint moves.
     SwapJoinInputs,
 }
 
@@ -44,8 +40,7 @@ impl Mutation {
         Mutation::StaleColumnIndex,
     ];
 
-    /// Semantics-preserving mutations: the verifier must accept them
-    /// and equivalence analysis must identify them with the original.
+    /// Semantics-preserving mutations: the verifier must accept them.
     pub const BENIGN: [Mutation; 1] = [Mutation::SwapJoinInputs];
 }
 

@@ -1,69 +1,104 @@
-//! Electing the subtrees a request's plans compute alike.
+//! Which subtrees of a plan set compute alike.
+//!
+//! Two subtrees are the same plan when [`same_plan`] holds: the same
+//! operators with the same operands, layouts and estimates, node ids
+//! ignored. Such subtrees run the same operators over the same data and
+//! emit the same batches. [`equal_classes`] partitions plans by it,
+//! bucketing by a hash ([`crate::fingerprint()`]) and confirming every
+//! match structurally, never by the hash alone.
 //!
 //! The top-k interpretations of one keyword query often differ only in
 //! SELECT and GROUP BY, so their plans repeat one join tree, and the
 //! planner is deterministic in the statement, so equal FROM/WHERE
-//! clauses plan to equal subtrees. [`Election::elect`] finds them in one
-//! bottom-up pass over the plans: every subtree that contains a
-//! `HashJoin` or `CrossJoin` is bucketed by
-//! [`aqks_plancheck::fingerprint`] and confirmed by structural equality
-//! (node ids ignored), never by the hash alone. The largest repeated
-//! subtrees are kept first, each with the occurrences no kept subtree
-//! overlaps, found by walking the subtrees (planner ids are assigned
-//! bottom-up, so a subtree's ids are not an interval). A subtree is kept
-//! only while those occurrences lie in two or more plans: a share is
-//! filled when the run that computed it succeeds, so repeats within one
-//! plan never replay each other.
+//! clauses plan to equal subtrees. [`Election::elect`] finds them: every
+//! subtree that contains a `HashJoin` or `CrossJoin` is classed by
+//! [`same_plan`]. The largest repeated subtrees are kept first, each
+//! with the occurrences no kept subtree overlaps, found by walking the
+//! subtrees (planner ids are assigned bottom-up, so a subtree's ids are
+//! not an interval). A subtree is kept only while those occurrences lie
+//! in two or more plans: a share is filled when the run that computed it
+//! succeeds, so repeats within one plan never replay each other.
 //!
 //! Subtrees without a join are left alone: replaying a scan moves as
 //! many rows as rescanning it, and electing part of a D′ memo site
 //! (`Distinct(Project(Scan))`) would stop the executor's projection
 //! memo from replaying it.
+//!
+//! `Engine::run` executes each elected subtree once per request, and
+//! `aqks-equiv` renders and replays the same election, so both agree on
+//! what is shared.
 
 use std::collections::HashMap;
 
 use aqks_sqlgen::{PlanNode, PlanOp};
 
-/// The shares of one request: for each, its consumer sites as
+/// Structural equality with node ids ignored: two such subtrees run the
+/// same operators over the same data and emit the same batches.
+pub fn same_plan(a: &PlanNode, b: &PlanNode) -> bool {
+    a.op == b.op
+        && a.cols == b.cols
+        && a.est_rows == b.est_rows
+        && a.children.len() == b.children.len()
+        && a.children.iter().zip(&b.children).all(|(x, y)| same_plan(x, y))
+}
+
+/// Partitions `nodes` into classes of [`same_plan`]-equal trees: each
+/// class lists indices into `nodes`, classes and members in order of
+/// first appearance. `hash` only buckets candidates, so two trees that
+/// collide on it still land apart unless they are the same plan.
+pub fn equal_classes<'a>(
+    nodes: impl IntoIterator<Item = &'a PlanNode>,
+    hash: impl Fn(&PlanNode) -> u64,
+) -> Vec<Vec<usize>> {
+    let mut classes: Vec<(&PlanNode, Vec<usize>)> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    for (i, node) in nodes.into_iter().enumerate() {
+        let bucket = buckets.entry(hash(node)).or_default();
+        match bucket.iter().find(|&&c| same_plan(classes[c].0, node)) {
+            Some(&c) => classes[c].1.push(i),
+            None => {
+                bucket.push(classes.len());
+                classes.push((node, vec![i]));
+            }
+        }
+    }
+    classes.into_iter().map(|c| c.1).collect()
+}
+
+/// The shares of one plan set: for each, its consumer sites as
 /// `(plan index, node id)`, largest subtree first.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub(crate) struct Election {
-    pub(crate) shares: Vec<Vec<(usize, usize)>>,
+pub struct Election {
+    /// Consumer sites of each share.
+    pub shares: Vec<Vec<(usize, usize)>>,
 }
 
 impl Election {
     /// Elects the maximal repeated join subtrees of `plans`.
-    pub(crate) fn elect(plans: &[PlanNode]) -> Election {
-        Election::elect_by(plans, aqks_plancheck::fingerprint)
+    pub fn elect(plans: &[PlanNode]) -> Election {
+        Election::elect_by(plans, crate::fingerprint)
     }
 
     /// [`Election::elect`] with the bucketing hash as a parameter, so a
     /// test can make every subtree collide.
     fn elect_by(plans: &[PlanNode], hash: impl Fn(&PlanNode) -> u64) -> Election {
-        // Classes of structurally equal join subtrees, in order of first
-        // appearance, with their occurrences.
-        let mut classes: Vec<(&PlanNode, Vec<(usize, &PlanNode)>)> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut sites: Vec<(usize, &PlanNode)> = Vec::new();
         for (pi, plan) in plans.iter().enumerate() {
-            joins_below(plan, &mut |node| {
-                let bucket = buckets.entry(hash(node)).or_default();
-                match bucket.iter().find(|&&c| same_tree(classes[c].0, node)) {
-                    Some(&c) => classes[c].1.push((pi, node)),
-                    None => {
-                        bucket.push(classes.len());
-                        classes.push((node, vec![(pi, node)]));
-                    }
-                }
-            });
+            joins_below(plan, &mut |node| sites.push((pi, node)));
         }
+        let mut classes: Vec<Vec<(usize, &PlanNode)>> =
+            equal_classes(sites.iter().map(|s| s.1), hash)
+                .into_iter()
+                .filter(|c| c.len() > 1)
+                .map(|c| c.into_iter().map(|i| sites[i]).collect())
+                .collect();
         // Largest first; a stable sort keeps first appearance on ties.
-        classes.retain(|c| c.1.len() > 1);
-        classes.sort_by_key(|c| std::cmp::Reverse(c.0.node_count()));
+        classes.sort_by_key(|c| std::cmp::Reverse(c[0].1.node_count()));
 
         let mut covered: Vec<Vec<bool>> =
             plans.iter().map(|p| vec![false; p.max_id() + 1]).collect();
         let mut shares = Vec::new();
-        for (_, occurrences) in classes {
+        for occurrences in classes {
             let clear: Vec<(usize, &PlanNode)> = occurrences
                 .into_iter()
                 .filter(|&(pi, node)| {
@@ -85,7 +120,7 @@ impl Election {
     }
 
     /// Plan `plan`'s share sites: node id → share index.
-    pub(crate) fn sites(&self, plan: usize) -> HashMap<usize, usize> {
+    pub fn sites(&self, plan: usize) -> HashMap<usize, usize> {
         let mut sites = HashMap::new();
         for (k, share) in self.shares.iter().enumerate() {
             for &(pi, id) in share {
@@ -98,7 +133,7 @@ impl Election {
     }
 
     /// The shares whose last consumer is plan `plan`.
-    pub(crate) fn last_used_by(&self, plan: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn last_used_by(&self, plan: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.shares.len())
             .filter(move |&k| self.shares[k].iter().map(|s| s.0).max() == Some(plan))
     }
@@ -115,16 +150,6 @@ fn joins_below<'a>(node: &'a PlanNode, f: &mut impl FnMut(&'a PlanNode)) -> bool
         f(node);
     }
     joins
-}
-
-/// Structural equality with node ids ignored: two such subtrees run the
-/// same operators over the same data and emit the same batches.
-fn same_tree(a: &PlanNode, b: &PlanNode) -> bool {
-    a.op == b.op
-        && a.cols == b.cols
-        && a.est_rows == b.est_rows
-        && a.children.len() == b.children.len()
-        && a.children.iter().zip(&b.children).all(|(x, y)| same_tree(x, y))
 }
 
 #[cfg(test)]

@@ -40,8 +40,8 @@ pub use ops::{
 };
 pub use par::ExecOptions;
 pub use plan::{
-    filter_estimate, join_estimate, plan, plan_with_options, render_plan, render_plan_with_stats,
-    scan_estimate, PhysAggItem, PhysPred, PlanNode, PlanOp, PlanOptions,
+    plan, plan_with_options, render_plan, render_plan_with_stats, PhysAggItem, PhysPred, PlanNode,
+    PlanOp, PlanOptions,
 };
 pub use render::{render, render_spanned, SpanKind, SqlSpan};
 pub use result::ResultTable;

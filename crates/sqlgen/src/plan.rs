@@ -29,12 +29,12 @@
 //! keyword workloads this starts from the `contains`-matched relation
 //! and walks outward along its foreign keys.
 //!
-//! Estimates ([`filter_estimate`], [`scan_estimate`], [`join_estimate`])
-//! are deliberately crude: a fixed 1/4 selectivity per predicate, and a
-//! hash join that keeps the larger input unless one side is a base scan
-//! joined on its whole primary key, in which case each row of the other
-//! side finds at most one partner. They only have to rank sources and
-//! pick build sides; `aqks-equiv` recomputes them with the same functions.
+//! Estimates (`filter_estimate`, `join_estimate`) are deliberately
+//! crude: a fixed 1/4 selectivity per predicate, and a hash join that
+//! keeps the larger input unless one side is a base scan joined on its
+//! whole primary key, in which case each row of the other side finds at
+//! most one partner. They only have to rank sources and pick build
+//! sides.
 
 use aqks_relational::{Database, Value};
 
@@ -382,17 +382,11 @@ impl IdGen {
 /// Cardinality estimate after `npreds` predicates over `rows` input
 /// rows: a fixed 1/4 selectivity per predicate (the shift capped at 8
 /// predicates), floored at one row.
-pub fn filter_estimate(rows: usize, npreds: usize) -> usize {
+fn filter_estimate(rows: usize, npreds: usize) -> usize {
     if rows == 0 {
         return 0;
     }
     (rows >> (2 * npreds.min(8))).max(1)
-}
-
-/// Cardinality estimate of a scan of `relation` evaluating `npreds`
-/// pushed predicates; `None` for a relation the catalog lacks.
-pub fn scan_estimate(relation: &str, npreds: usize, db: &Database) -> Option<usize> {
-    db.table(relation).map(|t| filter_estimate(t.len(), npreds))
 }
 
 /// Cardinality estimate of joining `left` and `right`; `keys` holds the
@@ -404,7 +398,7 @@ pub fn scan_estimate(relation: &str, npreds: usize, db: &Database) -> Option<usi
 /// other input thinned by the scan's selectivity, at least one row). If
 /// both inputs qualify the smaller estimate wins; every other hash join
 /// estimates the larger input.
-pub fn join_estimate(
+fn join_estimate(
     left: &PlanNode,
     right: &PlanNode,
     keys: Option<(&[usize], &[usize])>,

@@ -16,8 +16,8 @@
 //! * [`analyze`] — static semantic analyzer for generated SQL plans
 //! * [`plancheck`] — static verifier for physical plans (properties,
 //!   invariants, fingerprints)
-//! * [`equiv`] — verified plan canonicalization, equivalence classes,
-//!   and shared-subplan execution
+//! * [`equiv`] — the engine's shared subtrees, rendered and replayed
+//!   outside the engine
 //! * [`guard`] — resource budgets, cooperative cancellation, failpoints
 //! * [`obs`] — pipeline tracing, always-on metrics + flight recorder,
 //!   Prometheus/JSON exposition

@@ -1,102 +1,117 @@
-//! Differential tests for semantic plan equivalence: every equivalence
-//! class the canonicalizer finds across the bundled workloads must be a
-//! *behavioral* equivalence — all members execute to the same table —
-//! and on randomized schemas canonicalize → verify → execute must never
-//! change a query's result.
+//! The shared-subplan view (`aqks-equiv`) against the engine: on every
+//! bundled workload its shared set is exactly the election `Engine::run`
+//! executes, and each plan's shared run returns its solo run's table.
+//! On randomized schemas, plans with and without predicate pushdown
+//! both verify and return the same rows.
 
-use aqks::core::Engine;
-use aqks::datasets::university;
-use aqks::equiv::{analyze, canonicalize, run_shared, shared_set};
-use aqks::plancheck::verify;
+use std::collections::BTreeSet;
+
+use aqks::core::{AnswerRequest, Engine};
+use aqks::equiv::{analyze, run_shared, shared_set};
+use aqks::plancheck::{verify, Election};
 use aqks::relational::{AttrType, Database, RelationSchema, Value};
 use aqks::sqlgen::ast::OrderKey;
 use aqks::sqlgen::{
-    plan, plan_with_options, run_plan, AggFunc, ColumnRef, PlanNode, PlanOptions, Predicate,
-    SelectItem, SelectStatement, TableExpr,
+    plan_with_options, run_plan, AggFunc, ColumnRef, PlanNode, PlanOptions, Predicate, SelectItem,
+    SelectStatement, TableExpr,
 };
+use aqks_eval::{EvalQuery, Scale};
 
-/// Plans the top-k interpretations of each query with and without
-/// predicate pushdown — the mixed plan set a cache would accumulate.
-fn workload_plans(db: &Database, queries: &[&str], k: usize) -> Vec<PlanNode> {
+/// For each query at k=5, checks that:
+/// - the shared set's share points, mapped back to the input plans, are
+///   the engine's election over the same plans;
+/// - every operator `Engine::run` notes `shared` is one of those
+///   consumer sites;
+/// - the shared run returns every class member its solo run's table.
+///
+/// Returns the number of shares elected.
+fn assert_shared_set_is_the_engines(db: &Database, queries: &[EvalQuery], workload: &str) -> usize {
     let engine = Engine::new(db.clone()).expect("engine builds");
-    let mut plans = Vec::new();
+    let mut elected = 0;
     for q in queries {
-        for g in engine.generate(q, k).expect("interpretations generated") {
-            plans.push(plan(&g.sql, db).expect("statement plans"));
-            plans.push(
-                plan_with_options(&g.sql, db, &PlanOptions { pushdown: false })
-                    .expect("statement plans without pushdown"),
-            );
-        }
-    }
-    plans
-}
+        let at = format!("{workload} {}", q.id);
+        let plans: Vec<PlanNode> = engine
+            .interpretation_plans(q.text, 5)
+            .unwrap_or_else(|e| panic!("{at}: {e}"))
+            .into_iter()
+            .map(|(_, p)| p)
+            .collect();
+        let Ok(analysis) = analyze(&plans, db);
+        let set = shared_set(&analysis);
+        let rep = |ci: usize| analysis.classes[ci].members[0];
+        let consumers: Vec<Vec<(usize, usize)>> = set
+            .shares
+            .iter()
+            .map(|sp| sp.consumers.iter().map(|&(ci, id)| (rep(ci), id)).collect())
+            .collect();
+        assert_eq!(
+            consumers,
+            Election::elect(&plans).shares,
+            "{at}: shares differ from the engine's"
+        );
+        elected += consumers.len();
 
-/// Analyzes the workload's plan set and checks that every member of
-/// every equivalence class executes to its classmates' table, and that
-/// the deduplicated shared-subplan run returns each class that same
-/// table.
-fn assert_classes_are_behavioral(db: &Database, queries: &[&str], workload: &str) {
-    let plans = workload_plans(db, queries, 2);
-    let analysis = analyze(&plans, db)
-        .unwrap_or_else(|e| panic!("{workload}: canonicalization rejected a planner plan: {e}"));
-    assert!(
-        analysis.nontrivial_classes() >= 1,
-        "{workload}: pushdown variants produced no duplicates"
-    );
-    let shared = run_shared(&shared_set(&analysis), db)
-        .unwrap_or_else(|e| panic!("{workload}: shared execution fails: {e}"));
-    assert_eq!(shared.tables.len(), analysis.classes.len(), "{workload}: one table per class");
-    for (ci, (class, table)) in analysis.classes.iter().zip(shared.tables).enumerate() {
-        let reference = table.sorted().rows;
-        for &m in &class.members {
-            let (table, _) = run_plan(&plans[m], db)
-                .unwrap_or_else(|e| panic!("{workload}: plan {m} fails to execute: {e}"));
-            assert_eq!(
-                reference,
-                table.sorted().rows,
-                "{workload}: class {ci} member {m} disagrees with the class's shared run"
-            );
+        let sites: BTreeSet<(usize, usize)> = consumers.iter().flatten().copied().collect();
+        let answered =
+            engine.run(q.text, &AnswerRequest::new(5)).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(answered.interpretations.len(), plans.len(), "{at}: interpretations");
+        for (i, a) in answered.interpretations.iter().enumerate() {
+            for (id, m) in a.stats.ops.iter().enumerate() {
+                if m.note.as_deref().is_some_and(|n| n.starts_with("shared")) {
+                    assert!(
+                        sites.contains(&(i, id)),
+                        "{at}: #{} replayed node {id}, no share site",
+                        i + 1
+                    );
+                }
+            }
+        }
+
+        let run =
+            run_shared(&set, db).unwrap_or_else(|e| panic!("{at}: shared execution fails: {e}"));
+        for (ci, (class, table)) in analysis.classes.iter().zip(run.tables).enumerate() {
+            let shared = table.sorted().rows;
+            for &m in &class.members {
+                let (solo, _) =
+                    run_plan(&plans[m], db).unwrap_or_else(|e| panic!("{at}: plan {m}: {e}"));
+                assert_eq!(
+                    shared,
+                    solo.sorted().rows,
+                    "{at}: class {ci} plan {m} differs from its solo run"
+                );
+            }
         }
     }
+    elected
 }
 
 #[test]
 fn university_equivalence_classes_execute_identically() {
-    let db = university::normalized();
-    let queries = [
-        "Green SUM Credit",
-        "Green George COUNT Code",
-        "Java SUM Price",
-        "COUNT Lecturer GROUPBY Course",
-    ];
-    assert_classes_are_behavioral(&db, &queries, "university");
+    let queries = aqks_eval::plans::university_queries();
+    let db = aqks::datasets::university::normalized();
+    assert!(assert_shared_set_is_the_engines(&db, &queries, "university") > 0);
 }
 
 #[test]
 fn tpch_equivalence_classes_execute_identically() {
-    use aqks_eval::{tpch_queries, Scale};
-    let queries: Vec<String> = tpch_queries().iter().map(|q| q.text.to_string()).collect();
-    let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
+    let queries = aqks_eval::tpch_queries();
     let normalized = aqks_eval::workload::tpch_database(Scale::Small);
-    assert_classes_are_behavioral(&normalized, &refs, "tpch");
+    assert!(assert_shared_set_is_the_engines(&normalized, &queries, "tpch") > 0);
     let prime = aqks_eval::workload::tpch_prime_database(Scale::Small);
-    assert_classes_are_behavioral(&prime, &refs, "tpch-prime");
+    assert!(assert_shared_set_is_the_engines(&prime, &queries, "tpch-prime") > 0);
 }
 
 #[test]
 fn acmdl_equivalence_classes_execute_identically() {
-    use aqks_eval::{acmdl_queries, Scale};
-    let queries: Vec<String> = acmdl_queries().iter().map(|q| q.text.to_string()).collect();
-    let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
+    let queries = aqks_eval::acmdl_queries();
     let normalized = aqks_eval::workload::acmdl_database(Scale::Small);
-    assert_classes_are_behavioral(&normalized, &refs, "acmdl");
+    assert!(assert_shared_set_is_the_engines(&normalized, &queries, "acmdl") > 0);
     let prime = aqks_eval::workload::acmdl_prime_database(Scale::Small);
-    assert_classes_are_behavioral(&prime, &refs, "acmdl-prime");
+    assert!(assert_shared_set_is_the_engines(&prime, &queries, "acmdl-prime") > 0);
 }
 
 // ---------------------------------------------------------------------
-// Randomized canonicalization property
+// Randomized pushdown property
 // ---------------------------------------------------------------------
 
 /// SplitMix64: deterministic across platforms.
@@ -253,34 +268,24 @@ fn random_statement(rng: &mut Rng, db: &Database) -> SelectStatement {
     stmt
 }
 
-/// 200 random schema/statement rounds: the canonical plan must verify
-/// clean and execute to exactly the original plan's rows. Fixed seed —
-/// every run exercises the same cases.
+/// 200 random schema/statement rounds: the plans with and without
+/// predicate pushdown both verify against the statement and execute to
+/// the same rows. Fixed seed — every run exercises the same cases.
 #[test]
-fn canonicalize_verify_execute_never_changes_results() {
+fn pushdown_on_and_off_verify_and_execute_alike() {
     let mut rng = Rng(0xE9B1);
     for round in 0..200 {
         let db = random_database(&mut rng);
         let stmt = random_statement(&mut rng, &db);
-        let pushdown = rng.chance(50);
-        let p = plan_with_options(&stmt, &db, &PlanOptions { pushdown })
-            .unwrap_or_else(|e| panic!("round {round}: plan: {e}"));
-        let canon =
-            canonicalize(&p, &db).unwrap_or_else(|e| panic!("round {round}: canonicalize: {e}"));
-        assert_eq!(
-            canon.perm,
-            (0..p.cols.len()).collect::<Vec<_>>(),
-            "round {round}: statement root was permuted"
-        );
-        verify(&canon.plan, &db, None)
-            .unwrap_or_else(|e| panic!("round {round}: canonical plan rejected: {e}"));
-        let (a, _) = run_plan(&p, &db).unwrap_or_else(|e| panic!("round {round}: original: {e}"));
-        let (b, _) =
-            run_plan(&canon.plan, &db).unwrap_or_else(|e| panic!("round {round}: canonical: {e}"));
-        assert_eq!(
-            a.sorted().rows,
-            b.sorted().rows,
-            "round {round}: canonicalization changed the result"
-        );
+        let rows = |pushdown: bool| {
+            let p = plan_with_options(&stmt, &db, &PlanOptions { pushdown })
+                .unwrap_or_else(|e| panic!("round {round} pushdown={pushdown}: plan: {e}"));
+            verify(&p, &db, Some(&stmt))
+                .unwrap_or_else(|e| panic!("round {round} pushdown={pushdown}: rejected: {e}"));
+            let (t, _) = run_plan(&p, &db)
+                .unwrap_or_else(|e| panic!("round {round} pushdown={pushdown}: exec: {e}"));
+            t.sorted().rows
+        };
+        assert_eq!(rows(true), rows(false), "round {round}: pushdown changed the result");
     }
 }

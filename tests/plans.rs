@@ -4,6 +4,7 @@
 //! the `execute` facade on every statement both engines generate.
 
 use aqks_core::Engine;
+use aqks_eval::plans::university_queries;
 use aqks_eval::{acmdl_queries, tpch_queries, EvalQuery};
 use aqks_relational::Database;
 use aqks_sqlgen::{
@@ -41,29 +42,44 @@ fn generated(db: Database, queries: &[EvalQuery], k: usize) -> (Database, Vec<Se
     (db, stmts)
 }
 
-/// Pushdown equivalence on unnormalized TPC-H′: for every generated
-/// statement, planning with scan-time predicate evaluation and planning
-/// with a post-join Filter return identical sorted answers — and at
-/// least one statement actually exercises a pushed scan.
+/// Pushdown equivalence on unnormalized TPC-H′ and on every other
+/// bundled workload: for every generated statement, planning with
+/// scan-time predicate evaluation and planning with a post-join Filter
+/// return identical answers — and in each workload at least one
+/// statement actually exercises a pushed scan.
 #[test]
 fn pushdown_is_equivalent_on_tpch_prime_workload() {
-    let (db, stmts) = generated(tpch_prime(), &tpch_queries(), 3);
-    let mut pushed_scans = 0;
-    for stmt in &stmts {
-        let on = plan_with_options(stmt, &db, &PlanOptions { pushdown: true }).unwrap();
-        let off = plan_with_options(stmt, &db, &PlanOptions { pushdown: false }).unwrap();
-        pushed_scans +=
-            count_op(&on, |op| matches!(op, PlanOp::Scan { pushed, .. } if !pushed.is_empty()));
-        assert_eq!(
-            count_op(&off, |op| matches!(op, PlanOp::Scan { pushed, .. } if !pushed.is_empty())),
-            0,
-            "pushdown=false must not push predicates into scans:\n{stmt}"
-        );
-        let (a, _) = run_plan(&on, &db).unwrap();
-        let (b, _) = run_plan(&off, &db).unwrap();
-        assert_eq!(a, b, "pushdown changed the answer of:\n{stmt}");
+    let tpch = aqks_datasets::generate_tpch(&aqks_datasets::TpchConfig::small());
+    let acmdl = aqks_datasets::generate_acmdl(&aqks_datasets::AcmdlConfig::small());
+    let workloads = [
+        ("tpch-prime", tpch_prime(), tpch_queries()),
+        ("university", aqks_datasets::university::normalized(), university_queries()),
+        ("tpch", tpch, tpch_queries()),
+        ("acmdl-prime", aqks_datasets::denormalize_acmdl(&acmdl), acmdl_queries()),
+        ("acmdl", acmdl, acmdl_queries()),
+    ];
+    for (name, db, queries) in workloads {
+        let (db, stmts) = generated(db, &queries, 3);
+        let mut pushed_scans = 0;
+        for stmt in &stmts {
+            let on = plan_with_options(stmt, &db, &PlanOptions { pushdown: true }).unwrap();
+            let off = plan_with_options(stmt, &db, &PlanOptions { pushdown: false }).unwrap();
+            pushed_scans +=
+                count_op(&on, |op| matches!(op, PlanOp::Scan { pushed, .. } if !pushed.is_empty()));
+            assert_eq!(
+                count_op(
+                    &off,
+                    |op| matches!(op, PlanOp::Scan { pushed, .. } if !pushed.is_empty())
+                ),
+                0,
+                "{name}: pushdown=false must not push predicates into scans:\n{stmt}"
+            );
+            let (a, _) = run_plan(&on, &db).unwrap();
+            let (b, _) = run_plan(&off, &db).unwrap();
+            assert_eq!(a, b, "{name}: pushdown changed the answer of:\n{stmt}");
+        }
+        assert!(pushed_scans > 0, "{name}: no workload statement exercised a pushed scan");
     }
-    assert!(pushed_scans > 0, "no workload statement exercised a pushed scan");
 }
 
 /// The plan pipeline agrees with the `execute` facade on both normalized
