@@ -6,32 +6,19 @@ use aqks_sqlgen::SelectStatement;
 
 use crate::diagnostics::Report;
 use crate::fdmodel::StmtFds;
-use crate::passes::{default_passes, LintPass};
+use crate::passes::{Findings, PASSES};
 use crate::scope::Scope;
 
-/// Tunables for an analysis run.
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzerOptions {
-    /// Extra join edges pass P3 accepts, as unordered case-insensitive
-    /// pairs of `"Relation.attribute"` endpoints.
-    pub allowed_joins: Vec<(String, String)>,
-}
-
 /// Everything a pass may look at while checking one statement.
-pub struct StmtContext<'a> {
+pub(crate) struct StmtContext<'a> {
     /// The statement under scrutiny (root or a derived-table subquery).
     pub stmt: &'a SelectStatement,
-    /// Derived-table chain from the root (matches
-    /// [`SelectStatement::walk`] paths).
-    pub path: &'a [usize],
     /// Resolved FROM items of this statement.
     pub scope: &'a Scope<'a>,
     /// The database schema the statement runs against.
     pub schema: &'a DatabaseSchema,
     /// ORM graph over the schema, when the caller has one.
     pub graph: Option<&'a OrmGraph>,
-    /// Run options.
-    pub options: &'a AnalyzerOptions,
     /// Flattened FD model of this statement.
     pub fds: &'a StmtFds,
 }
@@ -40,30 +27,17 @@ pub struct StmtContext<'a> {
 pub struct Analyzer<'a> {
     schema: &'a DatabaseSchema,
     graph: Option<&'a OrmGraph>,
-    options: AnalyzerOptions,
-    passes: Vec<Box<dyn LintPass>>,
 }
 
 impl<'a> Analyzer<'a> {
-    /// Creates an analyzer for `schema` with the default pass pipeline.
+    /// Creates an analyzer for `schema`.
     pub fn new(schema: &'a DatabaseSchema) -> Analyzer<'a> {
-        Analyzer {
-            schema,
-            graph: None,
-            options: AnalyzerOptions::default(),
-            passes: default_passes(),
-        }
+        Analyzer { schema, graph: None }
     }
 
     /// Additionally consults an ORM graph when validating joins (P3).
     pub fn with_graph(mut self, graph: &'a OrmGraph) -> Analyzer<'a> {
         self.graph = Some(graph);
-        self
-    }
-
-    /// Replaces the run options.
-    pub fn with_options(mut self, options: AnalyzerOptions) -> Analyzer<'a> {
-        self.options = options;
         self
     }
 
@@ -76,19 +50,17 @@ impl<'a> Analyzer<'a> {
             let fds = StmtFds::build(sub, &scope);
             let cx = StmtContext {
                 stmt: sub,
-                path,
                 scope: &scope,
                 schema: self.schema,
                 graph: self.graph,
-                options: &self.options,
                 fds: &fds,
             };
-            for pass in &self.passes {
+            for pass in &PASSES {
                 // Per-pass timing and finding counts, recorded only when
                 // a trace span is ambient (the engine's `analyze` phase).
-                let span = aqks_obs::current().map(|r| r.span(format!("pass:{}", pass.name())));
+                let span = aqks_obs::current().map(|r| r.span(format!("pass:{}", pass.name)));
                 let before = report.diagnostics.len();
-                pass.check(&cx, &mut report.diagnostics);
+                (pass.check)(&cx, &mut Findings { pass, path, out: &mut report.diagnostics });
                 if let Some(span) = &span {
                     span.add("findings", (report.diagnostics.len() - before) as u64);
                 }
@@ -98,7 +70,7 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Analyzes one statement against a schema with default options.
+/// Analyzes one statement against a schema.
 pub fn analyze(stmt: &SelectStatement, schema: &DatabaseSchema) -> Report {
     Analyzer::new(schema).analyze(stmt)
 }

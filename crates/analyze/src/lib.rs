@@ -9,21 +9,24 @@
 //! functional dependencies, and (optionally) the ORM graph — without
 //! executing anything.
 //!
-//! Five lint passes with stable diagnostic codes:
+//! One fixed pipeline of five lint passes with stable diagnostic codes:
 //!
 //! | code    | pass                  | what it proves                         |
 //! |---------|-----------------------|----------------------------------------|
-//! | `AQ-P1` | [`NameResolution`]    | every name resolves, no duplicates     |
-//! | `AQ-P2` | [`TypeCheck`]         | joins/aggregates/`contains` type-check |
-//! | `AQ-P3` | [`JoinValidity`]      | equi-joins follow schema structure     |
-//! | `AQ-P4` | [`AggregateForm`]     | GROUP BY covers plain select items     |
-//! | `AQ-P5` | [`DuplicateInflation`]| no duplicate-inflated aggregates       |
+//! | `AQ-P1` | `name-resolution`     | every name resolves, no duplicates     |
+//! | `AQ-P2` | `type-check`          | joins/aggregates/`contains` type-check |
+//! | `AQ-P3` | `join-validity`       | equi-joins follow schema structure     |
+//! | `AQ-P4` | `aggregate-form`      | GROUP BY covers plain select items     |
+//! | `AQ-P5` | `duplicate-inflation` | no duplicate-inflated aggregates       |
 //!
 //! `AQ-P5` is the static counterpart of the paper's Section 4 analysis:
-//! it reproduces, at the plan level, the error class SQAK's translation
-//! falls into on unnormalized schemas (merged groups when grouping by a
-//! text-matched non-key, redundant rows inflating `COUNT`/`SUM`/`AVG`),
-//! using attribute closures over the statement's flattened FD model.
+//! it reproduces the error class SQAK's translation falls into on
+//! unnormalized schemas (merged groups when grouping by a text-matched
+//! non-key, redundant rows inflating `COUNT`/`SUM`/`AVG`), using
+//! attribute closures over the statement's flattened FD model. It is
+//! the workspace's one duplicate analysis: `aqks-plancheck` proves that
+//! each physical plan computes its analyzed statement rather than
+//! re-deriving these passes over the plan.
 //!
 //! ```
 //! use aqks_analyze::analyze;
@@ -44,12 +47,8 @@
 pub mod analyzer;
 pub mod diagnostics;
 pub mod fdmodel;
-pub mod passes;
+mod passes;
 pub mod scope;
 
-pub use analyzer::{analyze, Analyzer, AnalyzerOptions, StmtContext};
+pub use analyzer::{analyze, Analyzer};
 pub use diagnostics::{Diagnostic, Report, Severity};
-pub use passes::{
-    default_passes, AggregateForm, DuplicateInflation, JoinValidity, LintPass, NameResolution,
-    TypeCheck,
-};

@@ -472,7 +472,7 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
             };
             // Verify first: explain output shows each operator's
             // statically inferred keys, ordering, and row bounds.
-            let verified = match aqks_plancheck::verify(&plan, db, Some(sql)) {
+            let verified = match aqks_plancheck::verify(&plan, db, sql) {
                 Ok(v) => v,
                 Err(e) => {
                     println!("  plan verification error: {e}");
@@ -682,7 +682,7 @@ fn pushdown_agrees(
         let opts = aqks_sqlgen::PlanOptions { pushdown };
         let p = aqks_sqlgen::plan_with_options(sql, db, &opts)
             .map_err(|e| format!("plan error (pushdown={pushdown}): {e}"))?;
-        aqks_plancheck::verify(&p, db, Some(sql))
+        aqks_plancheck::verify(&p, db, sql)
             .map_err(|e| format!("REJECTED (pushdown={pushdown}) {e}"))?;
         let (table, _) = aqks_sqlgen::run_plan(&p, db)
             .map_err(|e| format!("exec error (pushdown={pushdown}): {e}"))?;
@@ -734,7 +734,7 @@ fn run_check(
                     }
                     if plans {
                         match aqks_sqlgen::plan(&g.sql, db) {
-                            Ok(p) => match aqks_plancheck::verify(&p, db, Some(&g.sql)) {
+                            Ok(p) => match aqks_plancheck::verify(&p, db, &g.sql) {
                                 Ok(_) => println!(
                                     "  plan #{}: verified (fingerprint {})",
                                     rank + 1,

@@ -622,7 +622,7 @@ impl Engine {
         if cfg!(debug_assertions) {
             s.add("plancheck.checked", 1);
         }
-        if let Err(e) = aqks_plancheck::verify_in_debug(&plan, &self.db, Some(&g.sql)) {
+        if let Err(e) = aqks_plancheck::verify_in_debug(&plan, &self.db, &g.sql) {
             s.add(format!("plancheck.rejected.{}", e.kind.name()), 1);
             return Err(CoreError::Analysis(format!(
                 "plan verification failed: {e}\n{}",

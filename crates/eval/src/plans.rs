@@ -75,7 +75,7 @@ pub fn verify_workload_plans(db: &Database, queries: &[EvalQuery], k: usize) -> 
                     }
                 };
                 row.plans += 1;
-                if let Err(e) = aqks_plancheck::verify(&plan, db, Some(&g.sql)) {
+                if let Err(e) = aqks_plancheck::verify(&plan, db, &g.sql) {
                     row.rejections.push(format!("{}: {e}", q.id));
                 }
                 let fp = aqks_plancheck::fingerprint(&plan);

@@ -2,20 +2,19 @@
 //!
 //! The planner in `aqks-sqlgen` lowers every generated SQL statement to
 //! a [`PlanNode`](aqks_sqlgen::PlanNode) tree that the executor runs
-//! directly — and that nothing checked until this crate. A planner bug
-//! there reproduces exactly the silently-wrong-aggregate failure class
-//! the SQL-level analyzer exists to prevent, one layer down.
+//! directly. `aqks-analyze` proves the *statement* right (AQ-P1–P5,
+//! including the duplicate-inflation class of the paper's Section 4); a
+//! planner bug could still execute something else. `aqks-plancheck` is
+//! the translation validator that closes that gap:
 //!
-//! `aqks-plancheck` closes that gap with a bottom-up abstract
-//! interpretation over the plan tree:
-//!
-//! - [`props`] infers, per operator, the output schema with column
-//!   provenance and declared types, functional dependencies carried
-//!   across joins, row-uniqueness and minimized keys, sortedness, and a
-//!   monotone cardinality upper bound;
-//! - [`mod@verify`] checks each operator against those properties, the
-//!   catalog, and (optionally) the originating statement, failing with
-//!   a typed [`PlanError`] on the first violated invariant;
+//! - [`props`] infers, per operator, the output columns, functional
+//!   dependencies carried across joins, row-uniqueness and minimized
+//!   keys, sortedness, and a monotone cardinality upper bound;
+//! - [`mod@verify`] checks each operator against the planner's contract
+//!   (catalog, layouts, index ranges, build side, row bound) and proves,
+//!   column by column, that the plan computes the statement it was
+//!   lowered from, failing with a typed [`PlanError`] on the first
+//!   violated invariant;
 //! - [`mod@fingerprint`] hashes a canonical, estimate-free encoding of the
 //!   tree into the stable cache key the plan/result-caching roadmap
 //!   item consumes;

@@ -7,7 +7,7 @@
 //! `#[cfg(test)]`) so downstream crates' property tests can seed the
 //! same corruptions.
 
-use aqks_sqlgen::{PlanNode, PlanOp};
+use aqks_sqlgen::{PhysPred, PlanNode, PlanOp};
 
 /// A seedable plan corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,12 @@ pub enum Mutation {
     /// Replaces a projected column index with one past the input arity
     /// (a stale index surviving a layout change).
     StaleColumnIndex,
+    /// Drops one pushed or residual `contains`/literal-equality
+    /// predicate, so the plan selects rows the statement excludes.
+    DropPredicate,
+    /// Re-points one group key at a neighboring input column, so the
+    /// plan groups by a column the statement does not.
+    RepointGroupKey,
     /// Swaps a hash join's inputs *soundly*: keys, build side, output
     /// layout, and every ancestor's column references are remapped.
     /// Unlike the corruptions above, this mutation is semantics
@@ -33,11 +39,13 @@ pub enum Mutation {
 impl Mutation {
     /// All *corrupting* mutation kinds, in a stable order. The verifier
     /// must reject every one of these.
-    pub const ALL: [Mutation; 4] = [
+    pub const ALL: [Mutation; 6] = [
         Mutation::SwapJoinKeys,
         Mutation::DropDistinct,
         Mutation::FlipBuildSide,
         Mutation::StaleColumnIndex,
+        Mutation::DropPredicate,
+        Mutation::RepointGroupKey,
     ];
 
     /// Semantics-preserving mutations: the verifier must accept them.
@@ -53,6 +61,8 @@ pub fn apply(plan: &PlanNode, m: Mutation) -> Option<PlanNode> {
         Mutation::DropDistinct => drop_distinct(&mut out),
         Mutation::FlipBuildSide => flip_build_side(&mut out),
         Mutation::StaleColumnIndex => stale_column_index(&mut out),
+        Mutation::DropPredicate => drop_predicate(&mut out),
+        Mutation::RepointGroupKey => repoint_group_key(&mut out),
         Mutation::SwapJoinInputs => swap_join_inputs(&mut out).is_some(),
     };
     hit.then_some(out)
@@ -88,6 +98,29 @@ fn drop_distinct(node: &mut PlanNode) -> bool {
         return true;
     }
     node.children.iter_mut().any(drop_distinct)
+}
+
+fn drop_predicate(node: &mut PlanNode) -> bool {
+    if let PlanOp::Scan { pushed: preds, .. } | PlanOp::Filter { preds } = &mut node.op {
+        let selection =
+            preds.iter().position(|p| matches!(p, PhysPred::ContainsCi(..) | PhysPred::EqLit(..)));
+        if let Some(i) = selection {
+            preds.remove(i);
+            return true;
+        }
+    }
+    node.children.iter_mut().any(drop_predicate)
+}
+
+fn repoint_group_key(node: &mut PlanNode) -> bool {
+    let arity = node.children.first().map_or(0, |c| c.cols.len());
+    if let PlanOp::HashAggregate { group, .. } = &mut node.op {
+        if let Some(g) = group.first_mut().filter(|_| arity > 1) {
+            *g = (*g + 1) % arity;
+            return true;
+        }
+    }
+    node.children.iter_mut().any(repoint_group_key)
 }
 
 fn flip_build_side(node: &mut PlanNode) -> bool {
@@ -136,7 +169,6 @@ fn swap_join_inputs(node: &mut PlanNode) -> Option<Vec<usize>> {
 /// output permutation `p`, rebuilds `node.cols`, and returns `node`'s
 /// own output permutation for its parent to apply in turn.
 fn remap_through(node: &mut PlanNode, ci: usize, p: &[usize]) -> Vec<usize> {
-    use aqks_sqlgen::PhysPred;
     let identity = |n: usize| (0..n).collect::<Vec<usize>>();
     match &mut node.op {
         PlanOp::Filter { preds } => {

@@ -1,11 +1,11 @@
 //! Bottom-up property inference over [`PlanNode`] trees.
 //!
 //! Each operator's output is summarized by a [`NodeProps`]: the column
-//! layout annotated with declared types and base-relation provenance, a
-//! functional-dependency set over the layout (the plan-level counterpart
-//! of `aqks_analyze::fdmodel::StmtFds`), row-distinctness, carried sort
-//! order, and a monotone cardinality upper bound. The verifier checks
-//! invariants against these summaries; `aqks explain` prints them.
+//! layout, a functional-dependency set over it (the plan-level
+//! counterpart of `aqks_analyze::fdmodel::StmtFds`), row-distinctness,
+//! carried sort order, and a monotone cardinality upper bound. The FDs
+//! exist to derive the minimized keys `aqks explain` prints
+//! (`{keys=[…] order=[…] rows<=N}`); the verifier reads only the bound.
 //!
 //! FD attributes are *tokens*: the lowercase `"alias.column"` string of a
 //! layout position (projection/aggregation outputs, which carry no alias,
@@ -17,24 +17,16 @@
 use std::collections::{BTreeSet, HashMap};
 
 use aqks_analyze::fdmodel::lower_fd_set;
-use aqks_relational::{AttrType, Database, Fd, FdSet};
-use aqks_sqlgen::ast::AggFunc;
+use aqks_relational::{Database, Fd, FdSet};
 use aqks_sqlgen::{PhysAggItem, PhysPred, PlanNode, PlanOp};
 
-/// One output column with its inferred annotations.
+/// One output column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColProp {
     /// Lowercased FROM alias ("" for projection/aggregation outputs).
     pub alias: String,
     /// Lowercased column name.
     pub name: String,
-    /// Declared type, when it can be traced to the catalog. Aggregates
-    /// over untypeable arguments (e.g. `SUM` of a text column, which
-    /// executes to NULL) stay `None`.
-    pub ty: Option<AttrType>,
-    /// Base-relation provenance `(relation, attribute)`, both lowercase,
-    /// traced through joins, projections, derived tables and group keys.
-    pub base: Option<(String, String)>,
 }
 
 impl ColProp {
@@ -149,12 +141,7 @@ fn scan_props(relation: &str, alias: &str, pushed: &[PhysPred], db: &Database) -
     let cols: Vec<ColProp> = rel
         .attrs
         .iter()
-        .map(|a| ColProp {
-            alias: alias.to_lowercase(),
-            name: a.name.to_lowercase(),
-            ty: Some(a.ty),
-            base: Some((rel.name.to_lowercase(), a.name.to_lowercase())),
-        })
+        .map(|a| ColProp { alias: alias.to_lowercase(), name: a.name.to_lowercase() })
         .collect();
     let tokens: Vec<String> = cols.iter().map(ColProp::token).collect();
     let mut fds = FdSet::new(tokens.iter().cloned());
@@ -179,13 +166,7 @@ fn scan_props(relation: &str, alias: &str, pushed: &[PhysPred], db: &Database) -
 fn derived_props(alias: &str, names: &[String], child: &NodeProps) -> NodeProps {
     let cols: Vec<ColProp> = names
         .iter()
-        .zip(&child.cols)
-        .map(|(n, c)| ColProp {
-            alias: alias.to_lowercase(),
-            name: n.to_lowercase(),
-            ty: c.ty,
-            base: c.base.clone(),
-        })
+        .map(|n| ColProp { alias: alias.to_lowercase(), name: n.to_lowercase() })
         .collect();
     let map: HashMap<String, String> =
         child.cols.iter().zip(&cols).map(|(c, n)| (c.token(), n.token())).collect();
@@ -237,19 +218,7 @@ fn filter_props(preds: &[PhysPred], child: &NodeProps) -> NodeProps {
 }
 
 fn project_props(cols: &[usize], names: &[String], child: &NodeProps) -> NodeProps {
-    let out_cols: Vec<ColProp> = cols
-        .iter()
-        .zip(names)
-        .map(|(&i, n)| {
-            let c = child.cols.get(i);
-            ColProp {
-                alias: String::new(),
-                name: n.to_lowercase(),
-                ty: c.and_then(|c| c.ty),
-                base: c.and_then(|c| c.base.clone()),
-            }
-        })
-        .collect();
+    let out_cols = output_cols(names);
     let map: HashMap<String, String> = cols
         .iter()
         .zip(&out_cols)
@@ -272,30 +241,7 @@ fn aggregate_props(
     names: &[String],
     child: &NodeProps,
 ) -> NodeProps {
-    let out_cols: Vec<ColProp> = items
-        .iter()
-        .zip(names)
-        .map(|(item, n)| {
-            let name = n.to_lowercase();
-            match item {
-                PhysAggItem::Col(i) => {
-                    let c = child.cols.get(*i);
-                    ColProp {
-                        alias: String::new(),
-                        name,
-                        ty: c.and_then(|c| c.ty),
-                        base: c.and_then(|c| c.base.clone()),
-                    }
-                }
-                PhysAggItem::Agg { func, arg, .. } => ColProp {
-                    alias: String::new(),
-                    name,
-                    ty: agg_type(*func, child.cols.get(*arg).and_then(|c| c.ty)),
-                    base: None,
-                },
-            }
-        })
-        .collect();
+    let out_cols = output_cols(names);
     // Retained (plain) columns carry their FDs through, like a projection.
     let map: HashMap<String, String> = items
         .iter()
@@ -341,18 +287,9 @@ fn aggregate_props(
     }
 }
 
-/// Output type of an aggregate given its argument type.
-pub fn agg_type(func: AggFunc, arg: Option<AttrType>) -> Option<AttrType> {
-    match func {
-        AggFunc::Count => Some(AttrType::Int),
-        AggFunc::Avg => Some(AttrType::Float),
-        AggFunc::Sum => match arg {
-            Some(AttrType::Int) => Some(AttrType::Int),
-            Some(AttrType::Float) => Some(AttrType::Float),
-            _ => None,
-        },
-        AggFunc::Min | AggFunc::Max => arg,
-    }
+/// Alias-free output columns of a projection or aggregation.
+fn output_cols(names: &[String]) -> Vec<ColProp> {
+    names.iter().map(|n| ColProp { alias: String::new(), name: n.to_lowercase() }).collect()
 }
 
 /// Adds the FD contributions of resolved predicates: a column equality

@@ -1,27 +1,30 @@
-//! Invariant checking over a property-annotated plan tree.
+//! Translation validation of physical plans.
 //!
 //! [`verify`] walks the plan bottom-up, inferring [`NodeProps`] per node
-//! and checking each operator against the catalog and (optionally) the
-//! statement it was lowered from. The first violated invariant aborts
-//! with a typed [`PlanError`] naming the offending node; a clean walk
-//! returns the per-node properties plus the plan fingerprint.
+//! and checking each operator against the planner's own contract: the
+//! catalog, child arity, column layouts, index ranges, the build side
+//! and the cardinality bound. It then proves that the plan computes the
+//! statement it was lowered from, column by column: sources, equi-joins,
+//! `contains`/literal selections, GROUP BY keys, aggregate arguments,
+//! select columns, DISTINCT, sort keys and LIMIT. The first violated
+//! invariant aborts with a typed [`PlanError`] naming the offending
+//! node; a clean walk returns the per-node properties plus the plan
+//! fingerprint.
 //!
-//! The invariants are the physical-level analogues of the SQL analyzer's
-//! passes: name resolution (P1), type compatibility (P2), join
-//! provenance (P3), aggregate well-formedness (P4) and duplicate
-//! safety (P5) — plus planner-contract checks that have no SQL
-//! counterpart (layout consistency, build-side policy, cardinality
-//! bounds, statement/plan shape correspondence).
+//! Whether the *statement* is right (names, types, join edges, aggregate
+//! shape, duplicate inflation) is the SQL analyzer's question
+//! (`aqks-analyze`, AQ-P1–P5). The engine refuses analyzer errors
+//! before it plans, so a statement that reaches the verifier is
+//! analyzer-clean, and a plan that realizes it inherits that verdict.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use aqks_analyze::fdmodel::lower_fd_set;
-use aqks_relational::{AttrType, Database, Value};
-use aqks_sqlgen::ast::{AggFunc, Predicate, SelectItem, SelectStatement, TableExpr};
+use aqks_relational::{Database, Value};
+use aqks_sqlgen::ast::{ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
 use aqks_sqlgen::{PhysAggItem, PhysPred, PlanNode, PlanOp};
 
 use crate::fingerprint::fingerprint;
-use crate::props::{infer, ColProp, NodeProps};
+use crate::props::{infer, NodeProps};
 
 /// The class of a violated plan invariant. Stable names (see
 /// [`PlanErrorKind::name`]) key the `plancheck.rejected.<kind>` counters.
@@ -35,24 +38,14 @@ pub enum PlanErrorKind {
     SchemaMismatch,
     /// Join key lists are empty or of different lengths.
     JoinKeyArity,
-    /// Join key sides have incompatible declared types.
-    JoinKeyType,
-    /// A join key pair matches neither a shared base attribute nor a
-    /// declared foreign key.
+    /// The column pairs a FROM level equates (hash-join keys and
+    /// same-source equalities) differ from the statement's equi-joins.
     JoinProvenance,
     /// The hash-join build side contradicts the cardinality estimates.
     BuildSide,
-    /// A pushed or residual predicate has incompatible operand types.
-    PredType,
-    /// An aggregate function over an argument of the wrong type.
-    AggType,
-    /// A plain aggregation output not determined by the group keys.
-    UngroupedColumn,
-    /// A duplicate-sensitive aggregate whose input can inflate counts
-    /// through redundant rows (physical analogue of AQ-P5).
-    DuplicateRisk,
-    /// A contains-matched group key that merges distinct entities.
-    MergedGroups,
+    /// The `contains`/literal selections a FROM level applies, pushed or
+    /// residual, differ from the statement's.
+    PredicateMismatch,
     /// The planner's row estimate exceeds the provable upper bound.
     CardinalityBound,
     /// `SELECT DISTINCT` and the plan's Distinct operator disagree.
@@ -61,7 +54,10 @@ pub enum PlanErrorKind {
     OrderMismatch,
     /// LIMIT and the plan's Limit operator disagree.
     LimitMismatch,
-    /// The plan's output schema does not match the statement's.
+    /// GROUP BY and the plan's group-key columns disagree.
+    GroupMismatch,
+    /// The plan's output names or the columns its select items read do
+    /// not match the statement's.
     OutputSchema,
 }
 
@@ -73,18 +69,14 @@ impl PlanErrorKind {
             PlanErrorKind::UnresolvedColumn => "unresolved_column",
             PlanErrorKind::SchemaMismatch => "schema_mismatch",
             PlanErrorKind::JoinKeyArity => "join_key_arity",
-            PlanErrorKind::JoinKeyType => "join_key_type",
             PlanErrorKind::JoinProvenance => "join_provenance",
             PlanErrorKind::BuildSide => "build_side",
-            PlanErrorKind::PredType => "pred_type",
-            PlanErrorKind::AggType => "agg_type",
-            PlanErrorKind::UngroupedColumn => "ungrouped_column",
-            PlanErrorKind::DuplicateRisk => "duplicate_risk",
-            PlanErrorKind::MergedGroups => "merged_groups",
+            PlanErrorKind::PredicateMismatch => "predicate_mismatch",
             PlanErrorKind::CardinalityBound => "cardinality_bound",
             PlanErrorKind::LostDistinct => "lost_distinct",
             PlanErrorKind::OrderMismatch => "order_mismatch",
             PlanErrorKind::LimitMismatch => "limit_mismatch",
+            PlanErrorKind::GroupMismatch => "group_mismatch",
             PlanErrorKind::OutputSchema => "output_schema",
         }
     }
@@ -136,19 +128,17 @@ impl Verified {
     }
 }
 
-/// Verifies `plan` against the catalog, and — when the originating
-/// statement is supplied — against the statement's required shape.
+/// Verifies `plan` against the catalog and proves that it computes
+/// `stmt`, the statement it was lowered from.
 pub fn verify(
     plan: &PlanNode,
     db: &Database,
-    stmt: Option<&SelectStatement>,
+    stmt: &SelectStatement,
 ) -> Result<Verified, PlanError> {
     let mut props: Vec<Option<NodeProps>> = Vec::new();
     props.resize_with(plan.max_id() + 1, || None);
     check_node(plan, db, &mut props)?;
-    if let Some(stmt) = stmt {
-        check_stmt(plan, stmt)?;
-    }
+    check_stmt(plan, stmt)?;
     Ok(Verified { props, fingerprint: fingerprint(plan) })
 }
 
@@ -158,7 +148,7 @@ pub fn verify(
 pub fn verify_in_debug(
     plan: &PlanNode,
     db: &Database,
-    stmt: Option<&SelectStatement>,
+    stmt: &SelectStatement,
 ) -> Result<(), PlanError> {
     if cfg!(debug_assertions) {
         verify(plan, db, stmt).map(|_| ())
@@ -168,7 +158,7 @@ pub fn verify_in_debug(
 }
 
 // ---------------------------------------------------------------------------
-// Per-node checks
+// Per-node checks: the planner's contract
 // ---------------------------------------------------------------------------
 
 fn check_node(
@@ -183,7 +173,7 @@ fn check_node(
     check_structure(node, db)?;
     let refs: Vec<&NodeProps> = child_props.iter().collect();
     let props = infer(node, &refs, db);
-    check_semantics(node, &refs, &props, db)?;
+    check_estimates(node, &props)?;
     if let Some(slot) = out.get_mut(node.id) {
         *slot = Some(props.clone());
     }
@@ -399,56 +389,21 @@ fn check_output_layout(node: &PlanNode, names: &[String]) -> Result<(), PlanErro
     Ok(())
 }
 
-/// Checks that need inferred properties: types, provenance, build side,
-/// aggregate safety, and cardinality bounds.
-fn check_semantics(
-    node: &PlanNode,
-    children: &[&NodeProps],
-    props: &NodeProps,
-    db: &Database,
-) -> Result<(), PlanError> {
-    match &node.op {
-        PlanOp::Scan { pushed, .. } => check_pred_types(node.id, pushed, &props.cols)?,
-        PlanOp::Filter { preds } => check_pred_types(node.id, preds, &children[0].cols)?,
-        PlanOp::HashJoin { left_keys, right_keys, build_left } => {
-            let (l, r) = (children[0], children[1]);
-            for (&lk, &rk) in left_keys.iter().zip(right_keys) {
-                let (lc, rc) = (&l.cols[lk], &r.cols[rk]);
-                if let (Some(lt), Some(rt)) = (lc.ty, rc.ty) {
-                    if !types_compatible(lt, rt) {
-                        return Err(PlanError::new(
-                            PlanErrorKind::JoinKeyType,
-                            node.id,
-                            format!(
-                                "{} ({}) joined with {} ({})",
-                                lc.token(),
-                                lt.name(),
-                                rc.token(),
-                                rt.name()
-                            ),
-                        ));
-                    }
-                }
-                check_join_provenance(node.id, lc, rc, db)?;
-            }
-            let smaller_left = node.children[0].est_rows < node.children[1].est_rows;
-            if *build_left != smaller_left {
-                return Err(PlanError::new(
-                    PlanErrorKind::BuildSide,
-                    node.id,
-                    format!(
-                        "build side is {} but estimates are {} vs {}",
-                        if *build_left { "left" } else { "right" },
-                        node.children[0].est_rows,
-                        node.children[1].est_rows
-                    ),
-                ));
-            }
+/// The planner's estimate contract: each hash join builds on its
+/// estimated-smaller input, and no estimate exceeds the provable bound.
+fn check_estimates(node: &PlanNode, props: &NodeProps) -> Result<(), PlanError> {
+    if let PlanOp::HashJoin { build_left, .. } = node.op {
+        let (l, r) = (node.children[0].est_rows, node.children[1].est_rows);
+        if build_left != (l < r) {
+            return Err(PlanError::new(
+                PlanErrorKind::BuildSide,
+                node.id,
+                format!(
+                    "build side is {} but estimates are {l} vs {r}",
+                    if build_left { "left" } else { "right" }
+                ),
+            ));
         }
-        PlanOp::HashAggregate { group, items, .. } => {
-            check_aggregate(node, group, items, children[0], db)?;
-        }
-        _ => {}
     }
     if node.est_rows > props.max_rows {
         return Err(PlanError::new(
@@ -460,533 +415,21 @@ fn check_semantics(
     Ok(())
 }
 
-fn check_pred_types(id: usize, preds: &[PhysPred], cols: &[ColProp]) -> Result<(), PlanError> {
-    for p in preds {
-        match p {
-            PhysPred::EqCols(l, r) => {
-                if let (Some(lt), Some(rt)) = (cols[*l].ty, cols[*r].ty) {
-                    if !types_compatible(lt, rt) {
-                        return Err(PlanError::new(
-                            PlanErrorKind::PredType,
-                            id,
-                            format!(
-                                "{} ({}) equated with {} ({})",
-                                cols[*l].token(),
-                                lt.name(),
-                                cols[*r].token(),
-                                rt.name()
-                            ),
-                        ));
-                    }
-                }
-            }
-            PhysPred::ContainsCi(i, _) => {
-                if let Some(ty @ (AttrType::Int | AttrType::Float)) = cols[*i].ty {
-                    return Err(PlanError::new(
-                        PlanErrorKind::PredType,
-                        id,
-                        format!(
-                            "contains over numeric column {} ({})",
-                            cols[*i].token(),
-                            ty.name()
-                        ),
-                    ));
-                }
-            }
-            PhysPred::EqLit(i, v) => {
-                if let Some(ty) = cols[*i].ty {
-                    if !literal_compatible(v, ty) {
-                        return Err(PlanError::new(
-                            PlanErrorKind::PredType,
-                            id,
-                            format!(
-                                "literal {v} compared with {} ({})",
-                                cols[*i].token(),
-                                ty.name()
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn types_compatible(a: AttrType, b: AttrType) -> bool {
-    let numeric = |t| matches!(t, AttrType::Int | AttrType::Float);
-    a == b || (numeric(a) && numeric(b))
-}
-
-fn literal_compatible(v: &Value, ty: AttrType) -> bool {
-    match v {
-        Value::Null => true,
-        Value::Int(_) | Value::Float(_) => matches!(ty, AttrType::Int | AttrType::Float),
-        Value::Str(_) => ty == AttrType::Text,
-        Value::Date(_) => ty == AttrType::Date,
-    }
-}
-
-/// A join key pair must come from the same base attribute (natural
-/// unification) or follow a declared foreign key; aggregate outputs and
-/// other provenance-free columns are exempt.
-fn check_join_provenance(
-    id: usize,
-    l: &ColProp,
-    r: &ColProp,
-    db: &Database,
-) -> Result<(), PlanError> {
-    let (Some((lrel, lattr)), Some((rrel, rattr))) = (&l.base, &r.base) else {
-        return Ok(());
-    };
-    if lattr == rattr
-        || fk_links(lrel, lattr, rrel, rattr, db)
-        || fk_links(rrel, rattr, lrel, lattr, db)
-    {
-        return Ok(());
-    }
-    Err(PlanError::new(
-        PlanErrorKind::JoinProvenance,
-        id,
-        format!(
-            "{} ({lrel}.{lattr}) joined with {} ({rrel}.{rattr}): no shared attribute or foreign key",
-            l.token(),
-            r.token()
-        ),
-    ))
-}
-
-fn fk_links(rel: &str, attr: &str, ref_rel: &str, ref_attr: &str, db: &Database) -> bool {
-    let Some(table) = db.table(rel) else { return false };
-    table.schema.foreign_keys.iter().any(|fk| {
-        fk.ref_relation.eq_ignore_ascii_case(ref_rel)
-            && fk
-                .attrs
-                .iter()
-                .zip(&fk.ref_attrs)
-                .any(|(a, ra)| a.eq_ignore_ascii_case(attr) && ra.eq_ignore_ascii_case(ref_attr))
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate safety (the physical-level AQ-P4/P5 analogues)
-// ---------------------------------------------------------------------------
-
-fn check_aggregate(
-    node: &PlanNode,
-    group: &[usize],
-    items: &[PhysAggItem],
-    input: &NodeProps,
-    db: &Database,
-) -> Result<(), PlanError> {
-    // P2 analogue: SUM/AVG need numeric arguments.
-    for item in items {
-        if let PhysAggItem::Agg { func: func @ (AggFunc::Sum | AggFunc::Avg), arg, .. } = item {
-            if let Some(ty @ (AttrType::Text | AttrType::Date)) = input.cols[*arg].ty {
-                return Err(PlanError::new(
-                    PlanErrorKind::AggType,
-                    node.id,
-                    format!(
-                        "{}({}) over non-numeric type {}",
-                        func.keyword(),
-                        input.cols[*arg].token(),
-                        ty.name()
-                    ),
-                ));
-            }
-        }
-    }
-    // P4 analogue: a plain output column must be a group key or be
-    // functionally determined by the group keys (group-constant).
-    let group_tokens: BTreeSet<String> = group.iter().map(|&g| input.cols[g].token()).collect();
-    let closure = input.fds.closure(group_tokens.clone());
-    for item in items {
-        if let PhysAggItem::Col(i) = item {
-            let token = input.cols[*i].token();
-            if !group.contains(i) && !closure.contains(&token) {
-                return Err(PlanError::new(
-                    PlanErrorKind::UngroupedColumn,
-                    node.id,
-                    format!("plain output {token} is neither grouped nor group-determined"),
-                ));
-            }
-        }
-    }
-
-    // P5 analogue. Mirrors `aqks_analyze`'s DuplicateInflation pass over
-    // the aggregate's own FROM level: base scans reached without crossing
-    // a DerivedTable boundary (inner levels are checked at their own
-    // aggregates).
-    let dup_sensitive = items.iter().any(|i| {
-        matches!(
-            i,
-            PhysAggItem::Agg {
-                func: AggFunc::Count | AggFunc::Sum | AggFunc::Avg,
-                distinct: false,
-                ..
-            }
-        )
-    });
-    if !dup_sensitive {
-        return Ok(());
-    }
-    let input_node = &node.children[0];
-    let mut scans: Vec<&PlanNode> = Vec::new();
-    collect_scans(input_node, &mut scans);
-    let mut used: HashMap<String, BTreeSet<String>> = HashMap::new();
-    collect_used(input_node, &mut used);
-    for &i in group {
-        mark_used(&input_node.cols, i, &mut used);
-    }
-    for item in items {
-        let i = match item {
-            PhysAggItem::Col(i) => *i,
-            PhysAggItem::Agg { arg, .. } => *arg,
-        };
-        mark_used(&input_node.cols, i, &mut used);
-    }
-    let contains_matched = collect_contains(input_node);
-
-    for scan in &scans {
-        let PlanOp::Scan { relation, alias, .. } = &scan.op else { continue };
-        let Some(table) = db.table(relation) else { continue };
-        let fds = lower_fd_set(&table.schema);
-        let pinned = pinned_for(&closure, alias);
-        let empty = BTreeSet::new();
-        let used_a = used.get(alias.as_str()).unwrap_or(&empty);
-        // Redundant rows: a declared non-key FD whose determinant covers
-        // every used column of this relation, while the determinant plus
-        // everything the group keys pin still does not identify a row —
-        // logically-duplicate rows then multiply the aggregate.
-        for fd in &fds.fds {
-            if fds.is_superkey(&fd.lhs) {
-                continue;
-            }
-            if !used_a.is_subset(&fds.closure(fd.lhs.clone())) {
-                continue;
-            }
-            let mut pinned_k = fd.lhs.clone();
-            pinned_k.extend(pinned.iter().cloned());
-            if !fds.is_superkey(&pinned_k) {
-                return Err(PlanError::new(
-                    PlanErrorKind::DuplicateRisk,
-                    node.id,
-                    format!(
-                        "duplicate-sensitive aggregate over `{relation}` AS {alias}: rows \
-                         duplicated along {fd} are not keyed by the group"
-                    ),
-                ));
-            }
-        }
-        // Merged groups: grouping on a contains-matched column of a
-        // relation whose rows the pinned columns do not identify merges
-        // distinct entities that share the matched text.
-        for &g in group {
-            let Some((ga, gc)) = input_node.cols.get(g) else { continue };
-            if ga == alias
-                && contains_matched.contains(&(ga.clone(), gc.clone()))
-                && !fds.is_superkey(&pinned)
-            {
-                return Err(PlanError::new(
-                    PlanErrorKind::MergedGroups,
-                    node.id,
-                    format!(
-                        "group key {ga}.{gc} is contains-matched but does not identify \
-                         `{relation}` rows"
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Base scans of one FROM level (stops at DerivedTable boundaries).
-fn collect_scans<'a>(node: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
-    match &node.op {
-        PlanOp::DerivedTable { .. } => {}
-        PlanOp::Scan { .. } => out.push(node),
-        _ => {
-            for c in &node.children {
-                collect_scans(c, out);
-            }
-        }
-    }
-}
-
-fn mark_used(cols: &[(String, String)], i: usize, used: &mut HashMap<String, BTreeSet<String>>) {
-    if let Some((a, c)) = cols.get(i) {
-        used.entry(a.clone()).or_default().insert(c.clone());
-    }
-}
-
-/// Columns referenced by predicates and join keys within one FROM level.
-fn collect_used(node: &PlanNode, used: &mut HashMap<String, BTreeSet<String>>) {
-    let mark_preds = |preds: &[PhysPred],
-                      cols: &[(String, String)],
-                      used: &mut HashMap<String, BTreeSet<String>>| {
-        for p in preds {
-            match p {
-                PhysPred::EqCols(l, r) => {
-                    mark_used(cols, *l, used);
-                    mark_used(cols, *r, used);
-                }
-                PhysPred::ContainsCi(i, _) | PhysPred::EqLit(i, _) => mark_used(cols, *i, used),
-            }
-        }
-    };
-    match &node.op {
-        PlanOp::DerivedTable { .. } => return,
-        PlanOp::Scan { pushed, .. } => mark_preds(pushed, &node.cols, used),
-        PlanOp::Filter { preds } => mark_preds(preds, &node.cols, used),
-        PlanOp::HashJoin { left_keys, right_keys, .. } => {
-            for &l in left_keys {
-                mark_used(&node.children[0].cols, l, used);
-            }
-            for &r in right_keys {
-                mark_used(&node.children[1].cols, r, used);
-            }
-        }
-        _ => {}
-    }
-    for c in &node.children {
-        collect_used(c, used);
-    }
-}
-
-/// `(alias, column)` pairs matched by a `contains` predicate within one
-/// FROM level.
-fn collect_contains(node: &PlanNode) -> BTreeSet<(String, String)> {
-    let mut out = BTreeSet::new();
-    fn go(node: &PlanNode, out: &mut BTreeSet<(String, String)>) {
-        let mark = |preds: &[PhysPred],
-                    cols: &[(String, String)],
-                    out: &mut BTreeSet<(String, String)>| {
-            for p in preds {
-                if let PhysPred::ContainsCi(i, _) = p {
-                    if let Some((a, c)) = cols.get(*i) {
-                        out.insert((a.clone(), c.clone()));
-                    }
-                }
-            }
-        };
-        match &node.op {
-            PlanOp::DerivedTable { .. } => return,
-            PlanOp::Scan { pushed, .. } => mark(pushed, &node.cols, out),
-            PlanOp::Filter { preds } => mark(preds, &node.cols, out),
-            _ => {}
-        }
-        for c in &node.children {
-            go(c, out);
-        }
-    }
-    go(node, &mut out);
-    out
-}
-
-/// Columns of `alias` in a token closure (the plan-level analogue of
-/// `aqks_analyze::fdmodel::pinned_for`).
-fn pinned_for(closure: &BTreeSet<String>, alias: &str) -> BTreeSet<String> {
-    let prefix = format!("{alias}.");
-    closure.iter().filter_map(|t| t.strip_prefix(&prefix)).map(str::to_string).collect()
-}
-
 // ---------------------------------------------------------------------------
 // Statement correspondence
 // ---------------------------------------------------------------------------
 
-/// Checks that the plan realizes the statement's required shape:
-/// LIMIT/ORDER BY/DISTINCT present exactly when requested, the output
-/// schema matching the rendered SQL's select list, the equated column
-/// pairs matching the statement's equi-joins, and every FROM item
-/// (recursively through derived tables) realized by a matching source.
-fn check_stmt(root: &PlanNode, stmt: &SelectStatement) -> Result<(), PlanError> {
-    let mut cur = root;
-    match (&cur.op, stmt.limit) {
-        (PlanOp::Limit { n }, Some(want)) if *n == want => cur = &cur.children[0],
-        (PlanOp::Limit { n }, want) => {
-            return Err(PlanError::new(
-                PlanErrorKind::LimitMismatch,
-                cur.id,
-                format!("plan limits to {n}, statement wants {want:?}"),
-            ));
-        }
-        (_, Some(want)) => {
-            return Err(PlanError::new(
-                PlanErrorKind::LimitMismatch,
-                cur.id,
-                format!("statement has LIMIT {want} but the plan root does not limit"),
-            ));
-        }
-        (_, None) => {}
-    }
-    match (&cur.op, stmt.order_by.is_empty()) {
-        (PlanOp::Sort { keys }, false) => {
-            let agree = keys.len() == stmt.order_by.len()
-                && keys.iter().zip(&stmt.order_by).all(|(&(_, desc), k)| desc == k.desc);
-            if !agree {
-                return Err(PlanError::new(
-                    PlanErrorKind::OrderMismatch,
-                    cur.id,
-                    format!("sort keys {keys:?} do not realize the statement's ORDER BY"),
-                ));
-            }
-            cur = &cur.children[0];
-        }
-        (PlanOp::Sort { .. }, true) => {
-            return Err(PlanError::new(
-                PlanErrorKind::OrderMismatch,
-                cur.id,
-                "plan sorts but the statement has no ORDER BY".to_string(),
-            ));
-        }
-        (_, false) => {
-            return Err(PlanError::new(
-                PlanErrorKind::OrderMismatch,
-                cur.id,
-                "statement has ORDER BY but the plan root is unordered".to_string(),
-            ));
-        }
-        (_, true) => {}
-    }
-    match (&cur.op, stmt.distinct) {
-        (PlanOp::Distinct, true) => cur = &cur.children[0],
-        (PlanOp::Distinct, false) => {
-            return Err(PlanError::new(
-                PlanErrorKind::LostDistinct,
-                cur.id,
-                "plan deduplicates but the statement is not SELECT DISTINCT".to_string(),
-            ));
-        }
-        (_, true) => {
-            return Err(PlanError::new(
-                PlanErrorKind::LostDistinct,
-                cur.id,
-                "SELECT DISTINCT but no Distinct operator above the projection".to_string(),
-            ));
-        }
-        (_, false) => {}
-    }
+/// A lowercased `(alias, column)` reference.
+type Col = (String, String);
 
-    let want_names: Vec<&str> = stmt.items.iter().map(SelectItem::output_name).collect();
-    let grouped = stmt.has_aggregate() || !stmt.group_by.is_empty();
-    match &cur.op {
-        PlanOp::HashAggregate { group, items, names } if grouped => {
-            if group.len() != stmt.group_by.len() {
-                return Err(PlanError::new(
-                    PlanErrorKind::OutputSchema,
-                    cur.id,
-                    format!(
-                        "plan groups by {} key(s), statement by {}",
-                        group.len(),
-                        stmt.group_by.len()
-                    ),
-                ));
-            }
-            check_names(cur.id, names, &want_names)?;
-            for (item, want) in items.iter().zip(&stmt.items) {
-                let ok = match (item, want) {
-                    (PhysAggItem::Col(_), SelectItem::Column { .. }) => true,
-                    (
-                        PhysAggItem::Agg { func, distinct, .. },
-                        SelectItem::Aggregate { func: wf, distinct: wd, .. },
-                    ) => func == wf && distinct == wd,
-                    _ => false,
-                };
-                if !ok {
-                    return Err(PlanError::new(
-                        PlanErrorKind::OutputSchema,
-                        cur.id,
-                        "aggregate items do not realize the statement's select list".to_string(),
-                    ));
-                }
-            }
-        }
-        PlanOp::Project { names, .. } if !grouped => check_names(cur.id, names, &want_names)?,
-        _ => {
-            return Err(PlanError::new(
-                PlanErrorKind::OutputSchema,
-                cur.id,
-                format!(
-                    "expected {} at the statement's output, found `{}`",
-                    if grouped { "HashAggregate" } else { "Project" },
-                    cur.label()
-                ),
-            ));
-        }
-    }
+/// An equated pair of column references, smaller first.
+type ColPair = (Col, Col);
 
-    // Equi-joins: the level's hash-join key pairs and `EqCols`
-    // predicates realize exactly the statement's JoinEq set. Per-node
-    // provenance checks accept any two same-named attributes, so this is
-    // what catches a key re-pointed at the wrong column of a relation.
-    let region = &cur.children[0];
-    let mut realized = BTreeSet::new();
-    collect_equi_pairs(region, &mut realized);
-    let wanted: BTreeSet<ColPair> = stmt
-        .predicates
-        .iter()
-        .filter_map(|p| match p {
-            Predicate::JoinEq(a, b) => Some(col_pair(
-                (a.qualifier.to_lowercase(), a.column.to_lowercase()),
-                (b.qualifier.to_lowercase(), b.column.to_lowercase()),
-            )),
-            _ => None,
-        })
-        .collect();
-    let extra = realized.difference(&wanted).next().map(|p| (p, "the statement does not"));
-    let missing = wanted.difference(&realized).next().map(|p| (p, "the plan does not"));
-    if let Some((((la, lc), (ra, rc)), absent)) = extra.or(missing) {
-        return Err(PlanError::new(
-            PlanErrorKind::JoinProvenance,
-            cur.id,
-            format!("{la}.{lc} = {ra}.{rc} is equated but {absent} equate it"),
-        ));
-    }
-
-    // FROM items: every base relation has its scan, every derived table
-    // its recursively checked subplan.
-    for item in &stmt.from {
-        match item {
-            TableExpr::Relation { name, alias } => {
-                let found = find_source(region, &alias.to_lowercase()).is_some_and(|n| {
-                    matches!(&n.op, PlanOp::Scan { relation, .. }
-                        if relation.eq_ignore_ascii_case(name))
-                });
-                if !found {
-                    return Err(PlanError::new(
-                        PlanErrorKind::SchemaMismatch,
-                        cur.id,
-                        format!("no scan of `{name}` AS {alias} realizes the FROM item"),
-                    ));
-                }
-            }
-            TableExpr::Derived { query, alias } => {
-                let Some(node) = find_source(region, &alias.to_lowercase()) else {
-                    return Err(PlanError::new(
-                        PlanErrorKind::SchemaMismatch,
-                        cur.id,
-                        format!("no derived table AS {alias} realizes the FROM item"),
-                    ));
-                };
-                if !matches!(node.op, PlanOp::DerivedTable { .. }) {
-                    return Err(PlanError::new(
-                        PlanErrorKind::SchemaMismatch,
-                        node.id,
-                        format!("FROM item {alias} is derived but the plan scans a relation"),
-                    ));
-                }
-                check_stmt(&node.children[0], query)?;
-            }
-        }
-    }
-    Ok(())
+fn col_of(c: &ColumnRef) -> Col {
+    (c.qualifier.to_lowercase(), c.column.to_lowercase())
 }
 
-/// An equated pair of `(alias, column)` references, smaller first.
-type ColPair = ((String, String), (String, String));
-
-fn col_pair(a: (String, String), b: (String, String)) -> ColPair {
+fn col_pair(a: Col, b: Col) -> ColPair {
     if b < a {
         (b, a)
     } else {
@@ -994,34 +437,318 @@ fn col_pair(a: (String, String), b: (String, String)) -> ColPair {
     }
 }
 
-/// Column pairs equated within one FROM level: hash-join keys and the
-/// `EqCols` predicates of scans and filters.
-fn collect_equi_pairs(node: &PlanNode, out: &mut BTreeSet<ColPair>) {
-    let pair = |lc: &[(String, String)], l: usize, rc: &[(String, String)], r: usize| {
-        lc.get(l).zip(rc.get(r)).map(|(a, b)| col_pair(a.clone(), b.clone()))
-    };
-    let mark = |preds: &[PhysPred], cols: &[(String, String)], out: &mut BTreeSet<ColPair>| {
+/// A single-column selection: `contains` (needle lowercased, as the
+/// executor matches it) or equality with a literal.
+#[derive(PartialEq)]
+enum Selection {
+    Contains(String),
+    Eq(Value),
+}
+
+impl Selection {
+    fn describe(&self, (alias, col): &Col) -> String {
+        match self {
+            Selection::Contains(needle) => format!("{alias}.{col} contains '{needle}'"),
+            Selection::Eq(v) => format!("{alias}.{col} = {v}"),
+        }
+    }
+}
+
+/// What one FROM level of a plan computes: the region below its
+/// aggregate or projection, down to (not into) derived-table subplans.
+#[derive(Default)]
+struct Level<'a> {
+    /// Scans and derived tables, in plan pre-order.
+    sources: Vec<&'a PlanNode>,
+    /// Column pairs equated by hash-join keys and `EqCols` predicates.
+    equated: BTreeSet<ColPair>,
+    /// `contains`/literal selections, pushed or residual.
+    selections: Vec<(Col, Selection)>,
+}
+
+impl<'a> Level<'a> {
+    fn collect(node: &'a PlanNode) -> Result<Level<'a>, PlanError> {
+        let mut level = Level::default();
+        level.walk(node)?;
+        Ok(level)
+    }
+
+    fn walk(&mut self, node: &'a PlanNode) -> Result<(), PlanError> {
+        match &node.op {
+            PlanOp::Scan { pushed, .. } => {
+                self.sources.push(node);
+                self.note(pushed, &node.cols);
+            }
+            PlanOp::DerivedTable { .. } => {
+                self.sources.push(node);
+                return Ok(());
+            }
+            PlanOp::Filter { preds } => self.note(preds, &node.children[0].cols),
+            PlanOp::HashJoin { left_keys, right_keys, .. } => {
+                let (lc, rc) = (&node.children[0].cols, &node.children[1].cols);
+                for (&l, &r) in left_keys.iter().zip(right_keys) {
+                    self.equated.insert(col_pair(lc[l].clone(), rc[r].clone()));
+                }
+            }
+            PlanOp::CrossJoin => {}
+            _ => {
+                return Err(PlanError::new(
+                    PlanErrorKind::SchemaMismatch,
+                    node.id,
+                    format!("`{}` inside a FROM level", node.label()),
+                ));
+            }
+        }
+        node.children.iter().try_for_each(|c| self.walk(c))
+    }
+
+    /// Records predicates resolved against `cols` (indices are in range:
+    /// the per-node checks ran first).
+    fn note(&mut self, preds: &[PhysPred], cols: &[Col]) {
         for p in preds {
-            if let PhysPred::EqCols(l, r) = p {
-                out.extend(pair(cols, *l, cols, *r));
+            match p {
+                PhysPred::EqCols(l, r) => {
+                    self.equated.insert(col_pair(cols[*l].clone(), cols[*r].clone()));
+                }
+                PhysPred::ContainsCi(i, needle) => {
+                    self.selections.push((cols[*i].clone(), Selection::Contains(needle.clone())));
+                }
+                PhysPred::EqLit(i, v) => {
+                    self.selections.push((cols[*i].clone(), Selection::Eq(v.clone())));
+                }
             }
         }
+    }
+}
+
+/// Proves that the plan computes `stmt`, level by level: LIMIT, ORDER BY
+/// keys and DISTINCT present exactly when requested; the aggregate or
+/// projection reading the statement's GROUP BY columns, aggregate
+/// arguments and select columns under its output names; and each FROM
+/// level applying exactly the statement's sources, equi-joins and
+/// `contains`/literal selections, recursively through derived tables.
+/// Together with the per-node checks, a plan that passes computes the
+/// statement it was lowered from, so the SQL analyzer's findings about
+/// that statement hold for the plan too.
+fn check_stmt(root: &PlanNode, stmt: &SelectStatement) -> Result<(), PlanError> {
+    let err = |kind, node: &PlanNode, detail: String| Err(PlanError::new(kind, node.id, detail));
+    let want_names: Vec<&str> = stmt.items.iter().map(SelectItem::output_name).collect();
+    let mut cur = root;
+    match (&cur.op, stmt.limit) {
+        (PlanOp::Limit { n }, Some(want)) if *n == want => cur = &cur.children[0],
+        (PlanOp::Limit { n }, want) => {
+            return err(
+                PlanErrorKind::LimitMismatch,
+                cur,
+                format!("plan limits to {n}, statement wants {want:?}"),
+            );
+        }
+        (_, Some(want)) => {
+            return err(
+                PlanErrorKind::LimitMismatch,
+                cur,
+                format!("statement has LIMIT {want} but the plan root does not limit"),
+            );
+        }
+        (_, None) => {}
+    }
+    match (&cur.op, stmt.order_by.is_empty()) {
+        (PlanOp::Sort { keys }, false) => {
+            // The planner resolves each key to the first output it names.
+            let want: Vec<(Option<usize>, bool)> = stmt
+                .order_by
+                .iter()
+                .map(|k| {
+                    let at =
+                        want_names.iter().position(|n| n.eq_ignore_ascii_case(&k.column.column));
+                    (at, k.desc)
+                })
+                .collect();
+            if !keys.iter().map(|&(i, desc)| (Some(i), desc)).eq(want) {
+                return err(
+                    PlanErrorKind::OrderMismatch,
+                    cur,
+                    format!("sort keys {keys:?} do not realize the statement's ORDER BY"),
+                );
+            }
+            cur = &cur.children[0];
+        }
+        (PlanOp::Sort { .. }, true) => {
+            return err(
+                PlanErrorKind::OrderMismatch,
+                cur,
+                "plan sorts but the statement has no ORDER BY".to_string(),
+            );
+        }
+        (_, false) => {
+            return err(
+                PlanErrorKind::OrderMismatch,
+                cur,
+                "statement has ORDER BY but the plan root is unordered".to_string(),
+            );
+        }
+        (_, true) => {}
+    }
+    match (&cur.op, stmt.distinct) {
+        (PlanOp::Distinct, true) => cur = &cur.children[0],
+        (PlanOp::Distinct, false) => {
+            return err(
+                PlanErrorKind::LostDistinct,
+                cur,
+                "plan deduplicates but the statement is not SELECT DISTINCT".to_string(),
+            );
+        }
+        (_, true) => {
+            return err(
+                PlanErrorKind::LostDistinct,
+                cur,
+                "SELECT DISTINCT but no Distinct operator above the projection".to_string(),
+            );
+        }
+        (_, false) => {}
+    }
+
+    // The output operator: names, then the columns each item reads.
+    let grouped = stmt.has_aggregate() || !stmt.group_by.is_empty();
+    let input = &cur.children[0].cols;
+    let realizes = |item: &SelectItem, got: &PhysAggItem| match (item, got) {
+        (SelectItem::Column { col, .. }, PhysAggItem::Col(i)) => input[*i] == col_of(col),
+        (
+            SelectItem::Aggregate { func, arg, distinct, .. },
+            PhysAggItem::Agg { func: f, arg: a, distinct: d },
+        ) => func == f && distinct == d && input[*a] == col_of(arg),
+        _ => false,
     };
-    match &node.op {
-        PlanOp::DerivedTable { .. } => return,
-        PlanOp::Scan { pushed, .. } => mark(pushed, &node.cols, out),
-        PlanOp::Filter { preds } => mark(preds, &node.children[0].cols, out),
-        PlanOp::HashJoin { left_keys, right_keys, .. } => {
-            let (lc, rc) = (&node.children[0].cols, &node.children[1].cols);
-            for (&l, &r) in left_keys.iter().zip(right_keys) {
-                out.extend(pair(lc, l, rc, r));
+    match &cur.op {
+        PlanOp::HashAggregate { group, items, names } if grouped => {
+            check_names(cur.id, names, &want_names)?;
+            let got: Vec<Col> = group.iter().map(|&g| input[g].clone()).collect();
+            let want: Vec<Col> = stmt.group_by.iter().map(col_of).collect();
+            if got != want {
+                return err(
+                    PlanErrorKind::GroupMismatch,
+                    cur,
+                    format!("plan groups by {got:?}, statement by {want:?}"),
+                );
+            }
+            if !stmt.items.iter().zip(items).all(|(item, got)| realizes(item, got)) {
+                return err(
+                    PlanErrorKind::OutputSchema,
+                    cur,
+                    "aggregate items do not realize the statement's select list".to_string(),
+                );
             }
         }
-        _ => {}
+        PlanOp::Project { cols, names } if !grouped => {
+            check_names(cur.id, names, &want_names)?;
+            if !stmt.items.iter().zip(cols).all(|(item, &i)| realizes(item, &PhysAggItem::Col(i))) {
+                return err(
+                    PlanErrorKind::OutputSchema,
+                    cur,
+                    "projected columns do not realize the statement's select list".to_string(),
+                );
+            }
+        }
+        _ => {
+            return err(
+                PlanErrorKind::OutputSchema,
+                cur,
+                format!(
+                    "expected {} at the statement's output, found `{}`",
+                    if grouped { "HashAggregate" } else { "Project" },
+                    cur.label()
+                ),
+            );
+        }
     }
-    for c in &node.children {
-        collect_equi_pairs(c, out);
+
+    let level = Level::collect(&cur.children[0])?;
+
+    // Equi-joins: hash-join key pairs and `EqCols` predicates realize
+    // exactly the statement's JoinEq set, which catches a key re-pointed
+    // at the wrong column of a relation.
+    let wanted: BTreeSet<ColPair> = stmt
+        .predicates
+        .iter()
+        .filter_map(|p| match p {
+            Predicate::JoinEq(a, b) => Some(col_pair(col_of(a), col_of(b))),
+            _ => None,
+        })
+        .collect();
+    let extra = level.equated.difference(&wanted).next().map(|p| (p, "the statement does not"));
+    let missing = wanted.difference(&level.equated).next().map(|p| (p, "the plan does not"));
+    if let Some((((la, lc), (ra, rc)), absent)) = extra.or(missing) {
+        return err(
+            PlanErrorKind::JoinProvenance,
+            cur,
+            format!("{la}.{lc} = {ra}.{rc} is equated but {absent} equate it"),
+        );
     }
+
+    // Selections: the pushed and residual `contains`/literal predicates
+    // are exactly the statement's, as a multiset.
+    let mut unmatched = level.selections;
+    for p in &stmt.predicates {
+        let want = match p {
+            Predicate::Contains(c, text) => (col_of(c), Selection::Contains(text.to_lowercase())),
+            Predicate::Eq(c, v) => (col_of(c), Selection::Eq(v.clone())),
+            Predicate::JoinEq(..) => continue,
+        };
+        let Some(i) = unmatched.iter().position(|got| *got == want) else {
+            return err(
+                PlanErrorKind::PredicateMismatch,
+                cur,
+                format!("the plan does not apply `{}`", want.1.describe(&want.0)),
+            );
+        };
+        unmatched.swap_remove(i);
+    }
+    if let Some((col, sel)) = unmatched.first() {
+        return err(
+            PlanErrorKind::PredicateMismatch,
+            cur,
+            format!("the plan applies `{}`, which the statement does not", sel.describe(col)),
+        );
+    }
+
+    // Sources: one per FROM item, scanning the named relation or
+    // realizing the derived table's subquery.
+    if level.sources.len() != stmt.from.len() {
+        return err(
+            PlanErrorKind::SchemaMismatch,
+            cur,
+            format!(
+                "{} source(s) realize a FROM clause of {} item(s)",
+                level.sources.len(),
+                stmt.from.len()
+            ),
+        );
+    }
+    for item in &stmt.from {
+        let alias = item.alias().to_lowercase();
+        let source = level.sources.iter().find(|n| match &n.op {
+            PlanOp::Scan { alias: a, .. } | PlanOp::DerivedTable { alias: a, .. } => *a == alias,
+            _ => false,
+        });
+        let realized = source.is_some_and(|n| match (item, &n.op) {
+            (TableExpr::Relation { name, .. }, PlanOp::Scan { relation, .. }) => {
+                relation.eq_ignore_ascii_case(name)
+            }
+            (TableExpr::Derived { .. }, PlanOp::DerivedTable { .. }) => true,
+            _ => false,
+        });
+        if !realized {
+            return err(
+                PlanErrorKind::SchemaMismatch,
+                cur,
+                format!("no source realizes the FROM item AS {}", item.alias()),
+            );
+        }
+        if let (TableExpr::Derived { query, .. }, Some(n)) = (item, source) {
+            check_stmt(&n.children[0], query)?;
+        }
+    }
+    Ok(())
 }
 
 fn check_names(id: usize, got: &[String], want: &[&str]) -> Result<(), PlanError> {
@@ -1033,17 +760,6 @@ fn check_names(id: usize, got: &[String], want: &[&str]) -> Result<(), PlanError
         ));
     }
     Ok(())
-}
-
-/// The source node (Scan or DerivedTable) with the given alias in one
-/// FROM level.
-fn find_source<'a>(node: &'a PlanNode, alias: &str) -> Option<&'a PlanNode> {
-    match &node.op {
-        PlanOp::Scan { alias: a, .. } | PlanOp::DerivedTable { alias: a, .. } => {
-            (a == alias).then_some(node)
-        }
-        _ => node.children.iter().find_map(|c| find_source(c, alias)),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -176,13 +176,14 @@ fn random_statement(rng: &mut Rng, db: &Database) -> SelectStatement {
 #[test]
 fn random_interpretations_plan_verify_and_execute() {
     let mut rng = Rng(0x5eed_2026_0807);
+    let mut applied = Vec::new();
     for round in 0..60 {
         let db = random_database(&mut rng);
         for case in 0..4 {
             let stmt = random_statement(&mut rng, &db);
             let p = plan(&stmt, &db)
                 .unwrap_or_else(|e| panic!("round {round} case {case}: plan failed: {e}"));
-            verify(&p, &db, Some(&stmt)).unwrap_or_else(|e| {
+            verify(&p, &db, &stmt).unwrap_or_else(|e| {
                 panic!(
                     "round {round} case {case}: verifier tripped on a clean plan: {e}\n{}",
                     render_plan(&p)
@@ -198,17 +199,23 @@ fn random_interpretations_plan_verify_and_execute() {
                 "round {round} case {case}: fingerprint unstable"
             );
             for (m, bad) in mutate::all(&p) {
+                if !applied.contains(&m) {
+                    applied.push(m);
+                }
                 assert_ne!(
                     fingerprint(&p),
                     fingerprint(&bad),
                     "round {round} case {case}: {m:?} kept the fingerprint"
                 );
                 assert!(
-                    verify(&bad, &db, Some(&stmt)).is_err(),
+                    verify(&bad, &db, &stmt).is_err(),
                     "round {round} case {case}: {m:?} passed verification"
                 );
             }
         }
+    }
+    for m in mutate::Mutation::ALL {
+        assert!(applied.contains(&m), "{m:?} never applied to a random plan");
     }
 }
 

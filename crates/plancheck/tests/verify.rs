@@ -5,9 +5,14 @@
 use aqks_core::Engine;
 use aqks_datasets::university;
 use aqks_plancheck::{fingerprint, mutate, render_verified, verify, PlanErrorKind};
-use aqks_relational::{AttrType, Database, RelationSchema, Value};
-use aqks_sqlgen::ast::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
-use aqks_sqlgen::{plan, render_plan, run_plan, PlanNode};
+use aqks_relational::Database;
+use aqks_sqlgen::ast::{
+    AggFunc, ColumnRef, OrderKey, Predicate, SelectItem, SelectStatement, TableExpr,
+};
+use aqks_sqlgen::{
+    plan, plan_with_options, render_plan, run_plan, PhysAggItem, PhysPred, PlanNode, PlanOp,
+    PlanOptions,
+};
 
 /// Plans every interpretation the engine generates for `queries`.
 fn engine_plans(db: &Database, queries: &[&str]) -> Vec<(SelectStatement, PlanNode)> {
@@ -36,7 +41,7 @@ const UNIVERSITY_QUERIES: &[&str] = &[
 fn planner_produced_plans_verify_clean_and_execute() {
     let db = university::normalized();
     for (stmt, p) in engine_plans(&db, UNIVERSITY_QUERIES) {
-        let verified = verify(&p, &db, Some(&stmt))
+        let verified = verify(&p, &db, &stmt)
             .unwrap_or_else(|e| panic!("clean plan rejected: {e}\n{}", render_plan(&p)));
         run_plan(&p, &db).expect("verified plan executes");
         // The annotated rendering surfaces properties for every node.
@@ -49,18 +54,15 @@ fn planner_produced_plans_verify_clean_and_execute() {
 fn root_properties_reflect_the_statement() {
     let db = university::normalized();
     // Global aggregate: single row, trivially unique.
-    let (_, p) = engine_plans(&db, &["Green SUM Credit"]).remove(0);
-    let verified = verify(&p, &db, None).expect("verifies");
+    let (stmt, p) = engine_plans(&db, &["Green SUM Credit"]).remove(0);
+    let verified = verify(&p, &db, &stmt).expect("verifies");
     let root = verified.root(&p);
     assert!(root.unique);
     assert!(root.max_rows >= 1);
     // A base scan keeps its primary key and full row bound.
-    let scan = plan(
-        &select(vec![col("S", "Sid"), col("S", "Sname")], vec![rel("Student", "S")], vec![]),
-        &db,
-    )
-    .expect("plans");
-    let v = verify(&scan, &db, None).expect("verifies");
+    let stmt = select(vec![col("S", "Sid"), col("S", "Sname")], vec![rel("Student", "S")], vec![]);
+    let scan = plan(&stmt, &db).expect("plans");
+    let v = verify(&scan, &db, &stmt).expect("verifies");
     let leaf = v.props(find_scan_id(&scan)).expect("scan props");
     assert!(leaf.unique, "base relation with a PK is row-unique");
     assert_eq!(leaf.key(), Some(vec![0]), "Sid alone is the key");
@@ -79,21 +81,25 @@ fn find_scan_id(p: &PlanNode) -> usize {
 fn every_seeded_mutation_is_rejected_with_a_typed_diagnostic() {
     let db = university::normalized();
     let mut applied = 0usize;
+    let mut kinds = Vec::new();
     for (stmt, p) in engine_plans(&db, UNIVERSITY_QUERIES) {
         for (m, bad) in mutate::all(&p) {
             applied += 1;
-            let Err(err) = verify(&bad, &db, Some(&stmt)) else {
+            if !kinds.contains(&m) {
+                kinds.push(m);
+            }
+            let Err(err) = verify(&bad, &db, &stmt) else {
                 panic!("{m:?} accepted on:\n{}", render_plan(&p));
             };
             let allowed: &[PlanErrorKind] = match m {
-                mutate::Mutation::SwapJoinKeys => &[
-                    PlanErrorKind::JoinProvenance,
-                    PlanErrorKind::JoinKeyType,
-                    PlanErrorKind::UnresolvedColumn,
-                ],
+                mutate::Mutation::SwapJoinKeys => {
+                    &[PlanErrorKind::JoinProvenance, PlanErrorKind::UnresolvedColumn]
+                }
                 mutate::Mutation::DropDistinct => &[PlanErrorKind::LostDistinct],
                 mutate::Mutation::FlipBuildSide => &[PlanErrorKind::BuildSide],
                 mutate::Mutation::StaleColumnIndex => &[PlanErrorKind::UnresolvedColumn],
+                mutate::Mutation::DropPredicate => &[PlanErrorKind::PredicateMismatch],
+                mutate::Mutation::RepointGroupKey => &[PlanErrorKind::GroupMismatch],
                 mutate::Mutation::SwapJoinInputs => {
                     panic!("benign mutation yielded by mutate::all()")
                 }
@@ -106,6 +112,9 @@ fn every_seeded_mutation_is_rejected_with_a_typed_diagnostic() {
         }
     }
     assert!(applied >= 8, "mutation corpus too small ({applied} applications)");
+    for m in mutate::Mutation::ALL {
+        assert!(kinds.contains(&m), "{m:?} never applied to a university plan");
+    }
 }
 
 #[test]
@@ -117,15 +126,15 @@ fn benign_input_swap_verifies_clean_but_moves_the_fingerprint() {
             continue; // no hash join in this plan
         };
         swapped += 1;
-        verify(&good, &db, Some(&stmt)).unwrap_or_else(|e| {
+        verify(&good, &db, &stmt).unwrap_or_else(|e| {
             panic!(
                 "sound input swap rejected: {e}\noriginal:\n{}\nswapped:\n{}",
                 render_plan(&p),
                 render_plan(&good)
             )
         });
-        // The swap is structural, so the *structural* fingerprint moves;
-        // only the canonical fingerprint (aqks-equiv) identifies them.
+        // The fingerprint hashes structure, so the swap moves it even
+        // though both plans compute the same rows.
         assert_ne!(fingerprint(&p), fingerprint(&good), "input swap left fingerprint unchanged");
         // Same rows out: the swap must not change results.
         let (a, _) = run_plan(&p, &db).expect("original executes");
@@ -141,92 +150,98 @@ fn dropped_distinct_is_caught_against_the_statement() {
     let mut stmt = select(vec![col("E", "Grade")], vec![rel("Enrol", "E")], vec![]);
     stmt.distinct = true;
     let p = plan(&stmt, &db).expect("plans");
-    verify(&p, &db, Some(&stmt)).expect("distinct plan verifies");
+    verify(&p, &db, &stmt).expect("distinct plan verifies");
     let (m, bad) = mutate::all(&p)
         .into_iter()
         .find(|(m, _)| *m == mutate::Mutation::DropDistinct)
         .expect("plan has a Distinct to drop");
-    let err = verify(&bad, &db, Some(&stmt)).expect_err("dropped Distinct accepted");
+    let err = verify(&bad, &db, &stmt).expect_err("dropped Distinct accepted");
     assert_eq!(err.kind, PlanErrorKind::LostDistinct, "{m:?}: {err}");
 }
 
+/// With pushdown off every selection sits in one residual Filter above
+/// the joins. A plan whose Filter lost its `contains` predicates still
+/// has valid layouts and indices; only the statement shows what is
+/// missing.
 #[test]
-fn duplicate_sensitive_aggregate_over_redundant_fd_is_rejected() {
-    // R(a, b, c) with PK a and the declared (non-key) FD b -> c: rows
-    // duplicated along b -> c inflate SUM(c) when grouped by b.
-    let mut db = Database::new("redundant");
-    let mut r = RelationSchema::new("R");
-    r.add_attr("A", AttrType::Int).add_attr("B", AttrType::Text).add_attr("C", AttrType::Int);
-    r.set_primary_key(["A"]);
-    r.add_fd(["B"], ["C"]);
-    db.add_relation(r).unwrap();
-    for (a, b, c) in [(1, "x", 10), (2, "x", 10), (3, "y", 20)] {
-        db.insert("R", vec![Value::Int(a), Value::str(b), Value::Int(c)]).unwrap();
-    }
-    let stmt = select(
+fn residual_filter_that_drops_contains_is_rejected() {
+    let db = university::normalized();
+    let mut stmt = select(
+        vec![col("S", "Sid"), agg(AggFunc::Count, "E", "Code", "numcode")],
+        vec![rel("Student", "S"), rel("Enrol", "E")],
         vec![
-            col("R", "B"),
-            SelectItem::Aggregate {
-                func: AggFunc::Sum,
-                arg: ColumnRef::new("R", "C"),
-                distinct: false,
-                alias: "sumc".into(),
-            },
+            Predicate::JoinEq(ColumnRef::new("S", "Sid"), ColumnRef::new("E", "Sid")),
+            Predicate::Contains(ColumnRef::new("S", "Sname"), "Green".into()),
         ],
-        vec![rel("R", "R")],
-        vec![],
     );
-    let mut stmt = stmt;
-    stmt.group_by = vec![ColumnRef::new("R", "B")];
-    let p = plan(&stmt, &db).expect("plans");
-    let err = verify(&p, &db, Some(&stmt)).expect_err("redundant aggregate accepted");
-    assert_eq!(err.kind, PlanErrorKind::DuplicateRisk, "{err}");
+    stmt.group_by = vec![ColumnRef::new("S", "Sid")];
+    let p = plan_with_options(&stmt, &db, &PlanOptions { pushdown: false }).expect("plans");
+    verify(&p, &db, &stmt).expect("pushdown-off plan verifies");
+
+    let mut bad = p.clone();
+    let mut dropped = 0usize;
+    edit_nodes(&mut bad, &mut |n| {
+        if let PlanOp::Filter { preds } = &mut n.op {
+            let before = preds.len();
+            preds.retain(|p| !matches!(p, PhysPred::ContainsCi(..)));
+            dropped += before - preds.len();
+        }
+    });
+    assert_eq!(dropped, 1, "residual filter holds the contains:\n{}", render_plan(&p));
+    let err = verify(&bad, &db, &stmt).expect_err("plan without its contains accepted");
+    assert_eq!(err.kind, PlanErrorKind::PredicateMismatch, "{err}");
+    assert!(err.detail.contains("s.sname contains 'green'"), "{err}");
 }
 
+/// Each select item, group key and sort key must read the statement's
+/// column, not just have the right count and function.
 #[test]
-fn contains_matched_group_key_that_merges_entities_is_rejected() {
+fn column_level_mismatches_are_rejected() {
     let db = university::normalized();
-    // GROUP BY the contains-matched Sname: the two Greens merge.
     let mut stmt = select(
-        vec![
-            col("S", "Sname"),
-            SelectItem::Aggregate {
-                func: AggFunc::Count,
-                arg: ColumnRef::new("E", "Code"),
-                distinct: false,
-                alias: "numcode".into(),
-            },
-        ],
-        vec![rel("Student", "S"), rel("Enrol", "E")],
-        vec![
-            Predicate::JoinEq(ColumnRef::new("S", "Sid"), ColumnRef::new("E", "Sid")),
-            Predicate::Contains(ColumnRef::new("S", "Sname"), "green".into()),
-        ],
+        vec![col("S", "Sid"), agg(AggFunc::Sum, "S", "Age", "sumage")],
+        vec![rel("Student", "S")],
+        vec![],
     );
-    stmt.group_by = vec![ColumnRef::new("S", "Sname")];
+    stmt.group_by = vec![ColumnRef::new("S", "Sid")];
+    stmt.order_by = vec![OrderKey { column: ColumnRef::new("", "sumage"), desc: true }];
     let p = plan(&stmt, &db).expect("plans");
-    let err = verify(&p, &db, Some(&stmt)).expect_err("merged groups accepted");
-    assert_eq!(err.kind, PlanErrorKind::MergedGroups, "{err}");
-    // Grouping by the key instead is clean.
-    let mut keyed = select(
-        vec![
-            col("S", "Sid"),
-            SelectItem::Aggregate {
-                func: AggFunc::Count,
-                arg: ColumnRef::new("E", "Code"),
-                distinct: false,
-                alias: "numcode".into(),
-            },
-        ],
-        vec![rel("Student", "S"), rel("Enrol", "E")],
-        vec![
-            Predicate::JoinEq(ColumnRef::new("S", "Sid"), ColumnRef::new("E", "Sid")),
-            Predicate::Contains(ColumnRef::new("S", "Sname"), "green".into()),
-        ],
-    );
-    keyed.group_by = vec![ColumnRef::new("S", "Sid")];
-    let p = plan(&keyed, &db).expect("plans");
-    verify(&p, &db, Some(&keyed)).expect("keyed grouping verifies");
+    verify(&p, &db, &stmt).expect("clean plan verifies");
+    let student = &db.table("Student").expect("Student exists").schema;
+    let sname = student.attr_index("Sname").expect("Student has Sname");
+
+    // Re-point the aggregate argument, the plain column, the group key
+    // and the sort key in turn; each yields a well-formed plan.
+    let rejected_as = |edit: &dyn Fn(&mut PlanNode)| {
+        let mut bad = p.clone();
+        edit_nodes(&mut bad, &mut |n| edit(n));
+        assert_ne!(bad, p, "edit did not apply");
+        verify(&bad, &db, &stmt).expect_err("re-pointed plan accepted").kind
+    };
+    let aggregate_argument = rejected_as(&|n| {
+        if let PlanOp::HashAggregate { items, .. } = &mut n.op {
+            items[1] = PhysAggItem::Agg { func: AggFunc::Sum, arg: sname, distinct: false };
+        }
+    });
+    assert_eq!(aggregate_argument, PlanErrorKind::OutputSchema);
+    let plain_column = rejected_as(&|n| {
+        if let PlanOp::HashAggregate { items, .. } = &mut n.op {
+            items[0] = PhysAggItem::Col(sname);
+        }
+    });
+    assert_eq!(plain_column, PlanErrorKind::OutputSchema);
+    let group_key = rejected_as(&|n| {
+        if let PlanOp::HashAggregate { group, .. } = &mut n.op {
+            group[0] = sname;
+        }
+    });
+    assert_eq!(group_key, PlanErrorKind::GroupMismatch);
+    let sort_key = rejected_as(&|n| {
+        if let PlanOp::Sort { keys } = &mut n.op {
+            keys[0].0 = 0;
+        }
+    });
+    assert_eq!(sort_key, PlanErrorKind::OrderMismatch);
 }
 
 #[test]
@@ -271,4 +286,16 @@ fn col(q: &str, c: &str) -> SelectItem {
 
 fn rel(name: &str, alias: &str) -> TableExpr {
     TableExpr::Relation { name: name.into(), alias: alias.into() }
+}
+
+/// Applies `f` to every node of the tree.
+fn edit_nodes(node: &mut PlanNode, f: &mut dyn FnMut(&mut PlanNode)) {
+    f(node);
+    for c in &mut node.children {
+        edit_nodes(c, f);
+    }
+}
+
+fn agg(func: AggFunc, q: &str, c: &str, alias: &str) -> SelectItem {
+    SelectItem::Aggregate { func, arg: ColumnRef::new(q, c), distinct: false, alias: alias.into() }
 }

@@ -55,12 +55,12 @@ fn release_skip_path_does_not_allocate() {
     let stmt = student_scan();
     let plan = aqks_sqlgen::plan(&stmt, &db).expect("plans");
     // Warm up once outside the tracked window.
-    aqks_plancheck::verify_in_debug(&plan, &db, Some(&stmt)).expect("skip path succeeds");
+    aqks_plancheck::verify_in_debug(&plan, &db, &stmt).expect("skip path succeeds");
 
     TRACKING.with(|t| t.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..10_000 {
-        aqks_plancheck::verify_in_debug(&plan, &db, Some(&stmt)).expect("skip path succeeds");
+        aqks_plancheck::verify_in_debug(&plan, &db, &stmt).expect("skip path succeeds");
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "release skip path allocated {} time(s)", after - before);
@@ -80,13 +80,13 @@ fn debug_gate_actually_verifies() {
     let db = university::normalized();
     let stmt = student_scan();
     let plan = aqks_sqlgen::plan(&stmt, &db).expect("plans");
-    aqks_plancheck::verify_in_debug(&plan, &db, Some(&stmt)).expect("clean plan passes");
+    aqks_plancheck::verify_in_debug(&plan, &db, &stmt).expect("clean plan passes");
     let (_, bad) = aqks_plancheck::mutate::all(&plan)
         .into_iter()
         .find(|(m, _)| *m == aqks_plancheck::mutate::Mutation::StaleColumnIndex)
         .expect("projection to corrupt");
     assert!(
-        aqks_plancheck::verify_in_debug(&bad, &db, Some(&stmt)).is_err(),
+        aqks_plancheck::verify_in_debug(&bad, &db, &stmt).is_err(),
         "debug gate skipped verification"
     );
 }

@@ -280,7 +280,7 @@ fn pushdown_on_and_off_verify_and_execute_alike() {
         let rows = |pushdown: bool| {
             let p = plan_with_options(&stmt, &db, &PlanOptions { pushdown })
                 .unwrap_or_else(|e| panic!("round {round} pushdown={pushdown}: plan: {e}"));
-            verify(&p, &db, Some(&stmt))
+            verify(&p, &db, &stmt)
                 .unwrap_or_else(|e| panic!("round {round} pushdown={pushdown}: rejected: {e}"));
             let (t, _) = run_plan(&p, &db)
                 .unwrap_or_else(|e| panic!("round {round} pushdown={pushdown}: exec: {e}"));
