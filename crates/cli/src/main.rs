@@ -23,6 +23,10 @@
 //!   `budget exhausted: …` diagnostic goes to stderr, and the process
 //!   exits with code 3
 //!
+//! When stdout is closed before the output is written (piped into
+//! `head`, say), `aqks` stops without a message and exits with code 141,
+//! the status a shell reports for a process killed by SIGPIPE.
+//!
 //! Subcommand `aqks check [--dataset NAME] [--sqak] [--plans] [QUERY]`
 //! runs the static analyzer (`aqks-analyze`) over the SQL both engines
 //! generate — for one query, or for the dataset's whole built-in
@@ -176,6 +180,36 @@ impl Options {
 /// `2` and ordinary failures `1`).
 const EXIT_EXHAUSTED: i32 = 3;
 
+/// Exit code when stdout is closed before the output is written: 128 +
+/// SIGPIPE, as a shell reports for a process the signal killed.
+const EXIT_CLOSED_STDOUT: i32 = 141;
+
+/// Writes the command's output to stdout; a closed stdout (the reader
+/// went away, as in `aqks … | head`) ends the process quietly with
+/// [`EXIT_CLOSED_STDOUT`].
+fn emit(args: std::fmt::Arguments) {
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            std::process::exit(EXIT_CLOSED_STDOUT)
+        }
+        written => written.expect("stdout accepts the command's output"),
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         dataset: "university".into(),
@@ -281,7 +315,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.queue_depth = num(&args, i, "--queue-depth")? as usize;
             }
             "--help" | "-h" => {
-                println!("usage: aqks [check|explain|trace|metrics|serve|client] [--dataset NAME|DIR] [--paper-scale] [--k N] [--sqak] [--explain] [--analyze] [--plans] [--equiv] [--shared] [--slow] [--prom|--json] [--trace[=text|json|chrome]] [--trace-out FILE] [--export DIR] [--timeout-ms N] [--max-rows N] [--max-patterns N] [--max-interpretations N] [--threads N] [--addr HOST:PORT] [--workers N] [--queue-depth N] [QUERY]");
+                outln!("usage: aqks [check|explain|trace|metrics|serve|client] [--dataset NAME|DIR] [--paper-scale] [--k N] [--sqak] [--explain] [--analyze] [--plans] [--equiv] [--shared] [--slow] [--prom|--json] [--trace[=text|json|chrome]] [--trace-out FILE] [--export DIR] [--timeout-ms N] [--max-rows N] [--max-patterns N] [--max-interpretations N] [--threads N] [--addr HOST:PORT] [--workers N] [--queue-depth N] [QUERY]");
                 std::process::exit(0);
             }
             "check" if positional.is_empty() && !opts.subcommand() => opts.check = true,
@@ -326,10 +360,10 @@ fn load_dataset(name: &str, paper_scale: bool) -> Result<Database, String> {
 /// writes the `trace_event` file to `out`.
 fn emit_trace(trace: &PipelineTrace, fmt: TraceFormat, out: &str) {
     match fmt {
-        TraceFormat::Text => print!("{}", trace.render_text()),
-        TraceFormat::Json => print!("{}", trace.to_json()),
+        TraceFormat::Text => out!("{}", trace.render_text()),
+        TraceFormat::Json => out!("{}", trace.to_json()),
         TraceFormat::Chrome => {
-            print!("{}", trace.render_text());
+            out!("{}", trace.render_text());
             match std::fs::write(out, trace.to_chrome_json()) {
                 Ok(()) => {
                     eprintln!("wrote Chrome trace to {out} (open in chrome://tracing or Perfetto)")
@@ -355,34 +389,34 @@ fn run_query(
     if explain {
         match engine.explain(query) {
             Ok(ex) => {
-                println!("── interpretation trace");
+                outln!("── interpretation trace");
                 for t in &ex.terms {
                     let kind = if t.is_operator { "operator" } else { "term" };
                     if t.matches.is_empty() {
-                        println!("  {kind} {:<12}", t.term);
+                        outln!("  {kind} {:<12}", t.term);
                     } else {
-                        println!("  {kind} {:<12} -> {}", t.term, t.matches.join(" | "));
+                        outln!("  {kind} {:<12} -> {}", t.term, t.matches.join(" | "));
                     }
                 }
-                println!("  {} pattern(s) generated", ex.patterns.len());
+                outln!("  {} pattern(s) generated", ex.patterns.len());
             }
-            Err(e) => println!("explain error: {e}"),
+            Err(e) => outln!("explain error: {e}"),
         }
     }
     let mut code = 0;
     match engine.run(query, req) {
         Ok(answered) => {
             for (rank, a) in answered.interpretations.iter().enumerate() {
-                println!("── interpretation #{}", rank + 1);
+                outln!("── interpretation #{}", rank + 1);
                 if explain {
-                    println!("pattern: {}", a.pattern_description);
+                    outln!("pattern: {}", a.pattern_description);
                 }
-                println!("{}", a.sql_text);
-                println!("{}", a.result);
-                println!("({})", a.stats);
+                outln!("{}", a.sql_text);
+                outln!("{}", a.result);
+                outln!("({})", a.stats);
             }
             if let (Some(fmt), Some(t)) = (trace, &answered.trace) {
-                println!("── pipeline trace");
+                outln!("── pipeline trace");
                 emit_trace(t, fmt, trace_out);
             }
             if let Some(ex) = answered.exhaustion {
@@ -396,16 +430,16 @@ fn run_query(
         }
     }
     if let Some(sqak) = sqak {
-        println!("── SQAK baseline");
+        outln!("── SQAK baseline");
         match sqak.generate(query) {
             Ok(g) => {
-                println!("{}", g.sql_text);
+                outln!("{}", g.sql_text);
                 match sqak.answer(query) {
-                    Ok(r) => println!("{r}"),
-                    Err(e) => println!("execution error: {e}"),
+                    Ok(r) => outln!("{r}"),
+                    Err(e) => outln!("execution error: {e}"),
                 }
             }
-            Err(e) => println!("N.A.: {e}"),
+            Err(e) => outln!("N.A.: {e}"),
         }
     }
     code
@@ -439,7 +473,7 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
     let db = engine.database();
     let mut failures = 0;
     for q in queries {
-        println!("── explain `{q}`");
+        outln!("── explain `{q}`");
         let statements = if analyze {
             engine.run(q, &AnswerRequest::new(k)).map(|a| {
                 a.interpretations.into_iter().map(|a| (a.sql, a.sql_text, Some(a.stats))).collect()
@@ -452,20 +486,20 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
         let statements = match statements {
             Ok(s) => s,
             Err(e) => {
-                println!("  error: {e}");
+                outln!("  error: {e}");
                 failures += 1;
                 continue;
             }
         };
         for (rank, (sql, sql_text, stats)) in statements.iter().enumerate() {
-            println!("interpretation #{}", rank + 1);
-            println!("{sql_text}");
+            outln!("interpretation #{}", rank + 1);
+            outln!("{sql_text}");
             // The planner is deterministic in the statement, so this is
             // the plan the engine ran, with the same node ids.
             let plan = match aqks_sqlgen::plan(sql, db) {
                 Ok(p) => p,
                 Err(e) => {
-                    println!("  plan error: {e}");
+                    outln!("  plan error: {e}");
                     failures += 1;
                     continue;
                 }
@@ -475,17 +509,17 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
             let verified = match aqks_plancheck::verify(&plan, db, sql) {
                 Ok(v) => v,
                 Err(e) => {
-                    println!("  plan verification error: {e}");
+                    outln!("  plan verification error: {e}");
                     failures += 1;
                     continue;
                 }
             };
-            println!("plan fingerprint: {}", aqks_plancheck::fingerprint_hex(&plan));
+            outln!("plan fingerprint: {}", aqks_plancheck::fingerprint_hex(&plan));
             let rendered = match stats {
                 Some(stats) => aqks_sqlgen::render_plan_with_stats(&plan, stats),
                 None => aqks_plancheck::render_verified(&plan, &verified),
             };
-            println!("{rendered}");
+            outln!("{rendered}");
         }
     }
     failures
@@ -500,24 +534,24 @@ fn run_explain_shared(engine: &Engine, queries: &[String], k: usize) -> usize {
     let db = engine.database();
     let mut failures = 0;
     for q in queries {
-        println!("── explain --shared `{q}`");
+        outln!("── explain --shared `{q}`");
         let plans: Vec<aqks_sqlgen::PlanNode> = match engine.interpretation_plans(q, k) {
             Ok(pairs) => pairs
                 .into_iter()
                 .enumerate()
                 .map(|(rank, (g, p))| {
-                    println!("interpretation #{} (plan #{rank}): {}", rank + 1, g.sql_text);
+                    outln!("interpretation #{} (plan #{rank}): {}", rank + 1, g.sql_text);
                     p
                 })
                 .collect(),
             Err(e) => {
-                println!("  error: {e}");
+                outln!("  error: {e}");
                 failures += 1;
                 continue;
             }
         };
         let Ok(analysis) = aqks_equiv::analyze(&plans, db);
-        println!(
+        outln!(
             "── shared execution set: {} plan(s) -> {} class(es), {} duplicate(s) elided",
             plans.len(),
             analysis.classes.len(),
@@ -526,10 +560,10 @@ fn run_explain_shared(engine: &Engine, queries: &[String], k: usize) -> usize {
         for (ci, class) in analysis.classes.iter().enumerate() {
             if class.members.len() > 1 {
                 let members: Vec<String> = class.members.iter().map(|m| format!("#{m}")).collect();
-                println!("class {ci} [{:016x}]: plans {}", class.fingerprint, members.join(", "));
+                outln!("class {ci} [{:016x}]: plans {}", class.fingerprint, members.join(", "));
             }
         }
-        print!("{}", aqks_equiv::render_shared(&aqks_equiv::shared_set(&analysis)));
+        out!("{}", aqks_equiv::render_shared(&aqks_equiv::shared_set(&analysis)));
     }
     failures
 }
@@ -547,23 +581,23 @@ fn run_trace(
 ) -> usize {
     let mut failures = 0;
     for q in queries {
-        println!("── trace `{q}`");
+        outln!("── trace `{q}`");
         match engine.run(q, &AnswerRequest { trace: true, ..AnswerRequest::new(k) }) {
             Ok(answered) => {
                 let trace = answered.trace.unwrap_or_default();
                 if trace.is_empty() {
-                    println!("  error: empty span tree");
+                    outln!("  error: empty span tree");
                     failures += 1;
                     continue;
                 }
                 for (rank, a) in answered.interpretations.iter().enumerate() {
-                    println!("interpretation #{}: {}", rank + 1, a.sql_text);
-                    println!("({})", a.stats);
+                    outln!("interpretation #{}: {}", rank + 1, a.sql_text);
+                    outln!("({})", a.stats);
                 }
                 emit_trace(&trace, fmt, trace_out);
             }
             Err(e) => {
-                println!("  error: {e}");
+                outln!("  error: {e}");
                 failures += 1;
             }
         }
@@ -585,26 +619,26 @@ fn run_trace_slow(
     let mut failures = 0;
     for q in queries {
         if let Err(e) = engine.answer(q, k) {
-            println!("── trace --slow `{q}`");
-            println!("  error: {e}");
+            outln!("── trace --slow `{q}`");
+            outln!("  error: {e}");
             failures += 1;
         }
     }
     match aqks_obs::flight::global().slowest() {
         Some(entry) => {
-            println!(
+            outln!(
                 "── slowest query `{}` ({} µs total{})",
                 entry.query,
                 entry.total_ns / 1_000,
                 if entry.tripped.is_some() { ", budget tripped" } else { "" }
             );
             if let Some(t) = &entry.tripped {
-                println!("tripped: {t}");
+                outln!("tripped: {t}");
             }
             emit_trace(&entry.trace, fmt, trace_out);
         }
         None => {
-            println!("  error: flight recorder is empty (metrics disabled?)");
+            outln!("  error: flight recorder is empty (metrics disabled?)");
             failures += 1;
         }
     }
@@ -624,9 +658,9 @@ fn run_metrics(engine: &Engine, queries: &[String], k: usize, json: bool) -> usi
     }
     let snapshot = aqks_obs::metrics::global().snapshot();
     if json {
-        print!("{}", aqks_obs::expo::render_json(&snapshot));
+        out!("{}", aqks_obs::expo::render_json(&snapshot));
     } else {
-        print!("{}", aqks_obs::expo::render_prometheus(&snapshot));
+        out!("{}", aqks_obs::expo::render_prometheus(&snapshot));
     }
     failures
 }
@@ -648,12 +682,12 @@ fn check_equiv(generated: &[aqks_core::GeneratedSql], db: &Database) -> usize {
             }
             Err(e) => {
                 errors += 1;
-                println!("  equiv #{}: {e}", rank + 1);
+                outln!("  equiv #{}: {e}", rank + 1);
             }
         }
     }
     let Ok(analysis) = aqks_equiv::analyze(&plans, db);
-    println!(
+    outln!(
         "  equiv: {} interpretation(s) -> {} class(es){}",
         generated.len(),
         analysis.classes.len(),
@@ -662,7 +696,7 @@ fn check_equiv(generated: &[aqks_core::GeneratedSql], db: &Database) -> usize {
     for (ci, class) in analysis.classes.iter().enumerate().filter(|(_, c)| c.members.len() > 1) {
         let names: Vec<String> =
             class.members.iter().map(|&m| format!("#{}", owner[m] + 1)).collect();
-        println!(
+        outln!(
             "    class {ci} [{:016x}]: interpretations {} plan identically",
             class.fingerprint,
             names.join(", ")
@@ -716,7 +750,7 @@ fn run_check(
     let db = engine.database();
     let mut errors = 0;
     for q in queries {
-        println!("── check `{q}`");
+        outln!("── check `{q}`");
         match engine.generate(q, k) {
             Ok(generated) => {
                 for (rank, g) in generated.iter().enumerate() {
@@ -725,29 +759,29 @@ fn run_check(
                     } else {
                         g.diagnostics.summary()
                     };
-                    println!("  engine #{}: {verdict}", rank + 1);
+                    outln!("  engine #{}: {verdict}", rank + 1);
                     errors += g.diagnostics.error_count();
                     if !g.diagnostics.is_clean() {
                         for line in g.diagnostics.render(&g.sql).lines() {
-                            println!("    {line}");
+                            outln!("    {line}");
                         }
                     }
                     if plans {
                         match aqks_sqlgen::plan(&g.sql, db) {
                             Ok(p) => match aqks_plancheck::verify(&p, db, &g.sql) {
-                                Ok(_) => println!(
+                                Ok(_) => outln!(
                                     "  plan #{}: verified (fingerprint {})",
                                     rank + 1,
                                     aqks_plancheck::fingerprint_hex(&p)
                                 ),
                                 Err(e) => {
                                     errors += 1;
-                                    println!("  plan #{}: REJECTED {e}", rank + 1);
+                                    outln!("  plan #{}: REJECTED {e}", rank + 1);
                                 }
                             },
                             Err(e) => {
                                 errors += 1;
-                                println!("  plan #{}: plan error: {e}", rank + 1);
+                                outln!("  plan #{}: plan error: {e}", rank + 1);
                             }
                         }
                     }
@@ -763,14 +797,14 @@ fn run_check(
             // Debug builds reject error findings inside `generate`.
             Err(aqks_core::CoreError::Analysis(m)) => {
                 errors += 1;
-                println!("  engine: rejected\n    {}", m.replace('\n', "\n    "));
+                outln!("  engine: rejected\n    {}", m.replace('\n', "\n    "));
             }
             // A query the engine cannot interpret at all (parse error,
             // unmatched term) is a check failure, not a shrug — malformed
             // input must not exit 0.
             Err(e) => {
                 errors += 1;
-                println!("  engine: error ({e})");
+                outln!("  engine: error ({e})");
             }
         }
         if let Some(sqak) = sqak {
@@ -779,15 +813,15 @@ fn run_check(
                     let report = Analyzer::new(&schema).analyze(&g.sql);
                     let verdict =
                         if report.is_clean() { "clean".to_string() } else { report.summary() };
-                    println!("  sqak: {verdict}");
+                    outln!("  sqak: {verdict}");
                     errors += report.error_count();
                     if !report.is_clean() {
                         for line in report.render(&g.sql).lines() {
-                            println!("    {line}");
+                            outln!("    {line}");
                         }
                     }
                 }
-                Err(e) => println!("  sqak: N.A. ({e})"),
+                Err(e) => outln!("  sqak: N.A. ({e})"),
             }
         }
     }
@@ -878,11 +912,11 @@ fn run_client(opts: &Options) -> i32 {
     match client.query(&request) {
         Ok(answer) => {
             for (rank, interp) in answer.interpretations.iter().enumerate() {
-                println!("── interpretation #{}", rank + 1);
-                println!("{}", interp.sql);
-                println!("{}", interp.columns.join(" | "));
+                outln!("── interpretation #{}", rank + 1);
+                outln!("{}", interp.sql);
+                outln!("{}", interp.columns.join(" | "));
                 for row in &interp.rows {
-                    println!("{}", row.join(" | "));
+                    outln!("{}", row.join(" | "));
                 }
             }
             eprintln!("({} µs server time)", answer.server_us);
@@ -1051,10 +1085,10 @@ fn main() {
             "\\schema" => {
                 for rel in &engine.database().schema().relations {
                     let attrs: Vec<&str> = rel.attr_names().collect();
-                    println!("{}({})", rel.name, attrs.join(", "));
+                    outln!("{}({})", rel.name, attrs.join(", "));
                 }
             }
-            "\\graph" => println!("{}", engine.orm_graph().describe()),
+            "\\graph" => outln!("{}", engine.orm_graph().describe()),
             q => {
                 // The REPL reports errors/exhaustion inline and carries on.
                 run_query(

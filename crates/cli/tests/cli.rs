@@ -356,3 +356,20 @@ fn generous_budget_answers_normally_with_exit_0() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("| s2  | 5.0"), "{stdout}");
 }
+
+/// A reader that goes away before the first line (`aqks … | head -0`)
+/// ends the process quietly with exit code 141, not with a panic.
+#[test]
+fn closed_stdout_exits_141_without_a_panic() {
+    let mut child = aqks()
+        .args(["check", "--plans", "--dataset", "tpch"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panic"), "{stderr}");
+}

@@ -1,7 +1,6 @@
 //! Smoke tests for the harness itself (the substantive shape assertions
 //! live in the workspace-level `tests/table_shapes.rs`).
 
-use crate::analysis::{analyze_workload, PlanVerdict};
 use crate::tables::{render_markdown, run_table5};
 use crate::workload::{
     acmdl_database, acmdl_prime_database, acmdl_queries, tpch_database, tpch_prime_database,
@@ -90,104 +89,4 @@ fn outcome_cell_truncates_long_answer_lists() {
     assert!(cell.ends_with(", ..."), "{cell}");
     let u = EngineOutcome::Unsupported("self join".into());
     assert_eq!(u.cell(), "N.A. (self join)");
-}
-
-/// The paper engine's statements carry zero error-severity findings on
-/// every workload query, normalized and unnormalized alike.
-#[test]
-fn engine_plans_are_statically_clean() {
-    let sweeps = [
-        analyze_workload(&tpch_database(Scale::Small), &tpch_queries(), 3),
-        analyze_workload(&acmdl_database(Scale::Small), &acmdl_queries(), 3),
-        analyze_workload(&tpch_prime_database(Scale::Small), &tpch_queries(), 3),
-        analyze_workload(&acmdl_prime_database(Scale::Small), &acmdl_queries(), 3),
-    ];
-    for rows in &sweeps {
-        assert_eq!(rows.len(), 8);
-        for row in rows {
-            assert!(
-                matches!(row.ours, PlanVerdict::Analyzed { .. }),
-                "{}: engine produced nothing to analyze: {:?}",
-                row.id,
-                row.ours
-            );
-            assert_eq!(row.ours.errors(), 0, "{}: {:?}", row.id, row.ours);
-        }
-    }
-}
-
-/// Tentpole acceptance bar: 100% of the plans the planner produces for
-/// the bundled workloads — university, TPC-H/ACMDL and their
-/// unnormalized primes — pass the static plan verifier.
-#[test]
-fn every_planner_plan_verifies_clean_across_all_workloads() {
-    let sweeps = crate::plans::run_plan_sweep(Scale::Small, 3);
-    assert_eq!(sweeps.len(), 5);
-    let mut total = 0;
-    for sweep in &sweeps {
-        assert!(
-            sweep.rejections().is_empty(),
-            "{}: plan verifier rejected planner output: {:?}",
-            sweep.workload,
-            sweep.rejections()
-        );
-        total += sweep.plans();
-    }
-    assert!(total >= 40, "only {total} plans swept");
-    let md = crate::plans::render_markdown(&sweeps);
-    for w in ["university", "tpch", "acmdl", "tpch-prime", "acmdl-prime"] {
-        assert!(md.contains(&format!("| {w} |")), "{md}");
-    }
-}
-
-/// Plan fingerprints are deterministic across re-planning (checked
-/// inside the sweep) and collision-free across the TPC-H′ interpretation
-/// sets: two interpretations that render differently must never share a
-/// fingerprint.
-#[test]
-fn fingerprints_distinguish_tpch_prime_interpretations() {
-    use std::collections::HashMap;
-    let db = tpch_prime_database(Scale::Small);
-    let engine = aqks_core::Engine::new(db.clone()).expect("engine builds");
-    let mut by_fp: HashMap<u64, String> = HashMap::new();
-    let mut plans = 0;
-    for q in tpch_queries() {
-        let Ok(generated) = engine.generate(q.text, 3) else { continue };
-        for g in &generated {
-            let plan = aqks_sqlgen::plan(&g.sql, &db).expect("plannable");
-            plans += 1;
-            let fp = aqks_plancheck::fingerprint(&plan);
-            let rendered = aqks_sqlgen::render_plan(&plan);
-            match by_fp.get(&fp) {
-                Some(prev) => assert_eq!(
-                    prev, &rendered,
-                    "fingerprint {fp:#018x} collides across distinct plans"
-                ),
-                None => {
-                    by_fp.insert(fp, rendered);
-                }
-            }
-        }
-    }
-    assert!(plans >= 10, "only {plans} interpretations planned");
-    assert!(by_fp.len() >= 8, "only {} distinct fingerprints", by_fp.len());
-}
-
-/// SQAK's statements over the unnormalized datasets trip the
-/// duplicate-inflation pass — the static counterpart of the wrong
-/// answers Tables 8 and 9 report.
-#[test]
-fn sqak_plans_trip_duplicate_inflation_on_unnormalized_data() {
-    for (db, queries) in [
-        (tpch_prime_database(Scale::Small), tpch_queries()),
-        (acmdl_prime_database(Scale::Small), acmdl_queries()),
-    ] {
-        let rows = analyze_workload(&db, &queries, 3);
-        let flagged = rows.iter().filter(|r| r.sqak.has_code("AQ-P5")).count();
-        assert!(flagged >= 1, "no AQ-P5 on {}: {rows:?}", db.name);
-        // And every flag is an error, not a warning.
-        for r in rows.iter().filter(|r| r.sqak.has_code("AQ-P5")) {
-            assert!(r.sqak.errors() >= 1, "{}: {:?}", r.id, r.sqak);
-        }
-    }
 }

@@ -1,5 +1,5 @@
-//! The query workloads of Tables 3 and 4, plus dataset construction at
-//! two scales.
+//! The query workloads of Tables 3 and 4 and the paper's running
+//! examples, plus dataset construction at two scales.
 
 use aqks_datasets::{denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch};
 use aqks_datasets::{AcmdlConfig, TpchConfig};
@@ -17,7 +17,7 @@ pub enum Scale {
 /// One workload query.
 #[derive(Debug, Clone)]
 pub struct EvalQuery {
-    /// Paper id (T1…T8, A1…A8).
+    /// Paper id (T1…T8, A1…A8; U1…U5 for the running examples).
     pub id: &'static str,
     /// The keyword query text.
     pub text: &'static str,
@@ -113,6 +113,22 @@ pub fn acmdl_queries() -> Vec<EvalQuery> {
             id: "A8",
             text: "COUNT editor SIGIR CIKM",
             description: "Find the number of editors that edit proceedings 'SIGIR' and 'CIKM'",
+        },
+    ]
+}
+
+/// The university workload: the paper's running examples (Sections 1-3)
+/// as keyword queries over `aqks_datasets::university`.
+pub fn university_queries() -> Vec<EvalQuery> {
+    vec![
+        EvalQuery { id: "U1", text: "Green SUM Credit", description: "Example 1" },
+        EvalQuery { id: "U2", text: "Green George COUNT Code", description: "Example 2" },
+        EvalQuery { id: "U3", text: "Java SUM Price", description: "textbook price total" },
+        EvalQuery { id: "U4", text: "Engineering COUNT Department", description: "faculty size" },
+        EvalQuery {
+            id: "U5",
+            text: "AVG COUNT Lecturer GROUPBY Course",
+            description: "nested aggregate",
         },
     ]
 }

@@ -1,5 +1,6 @@
 //! `repro` rejects a malformed command line with exit code 2 and a
-//! message, instead of running with a silently substituted value.
+//! message, instead of running with a silently substituted value; its
+//! only targets are the paper's tables and figure.
 
 use std::process::Command;
 
@@ -27,4 +28,13 @@ fn second_target_exits_2() {
     let (code, stderr) = repro(&["table5", "fig11"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("fig11"), "{stderr}");
+}
+
+#[test]
+fn check_sweeps_are_not_targets() {
+    for target in ["plans", "faults"] {
+        let (code, stderr) = repro(&[target]);
+        assert_eq!(code, Some(2), "{target}: {stderr}");
+        assert!(stderr.contains(&format!("unknown target `{target}`")), "{stderr}");
+    }
 }

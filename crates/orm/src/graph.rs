@@ -214,11 +214,6 @@ impl OrmGraph {
         self.by_relation.get(&relation.to_lowercase()).copied()
     }
 
-    /// Edge indices incident to `id`.
-    pub fn incident_edges(&self, id: NodeId) -> &[usize] {
-        &self.adjacency[id]
-    }
-
     /// Distinct object/mixed nodes directly connected to `id` — the
     /// "participating objects" of a relationship node used by the
     /// duplicate-elimination rule of Section 3.1.3.

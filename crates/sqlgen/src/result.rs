@@ -65,14 +65,6 @@ impl ResultTable {
         self
     }
 
-    /// Stably sorts the rows by value in place. The executor applies
-    /// this to every result without an ORDER BY, making row order
-    /// deterministic across runs and across plan revisions (eval
-    /// snapshots and `aqks explain --analyze` stay reproducible).
-    pub fn stabilize(&mut self) {
-        self.rows.sort();
-    }
-
     /// Removes duplicate rows in place (used for `SELECT DISTINCT`).
     pub fn dedup_rows(&mut self) {
         let mut seen = HashSet::new();

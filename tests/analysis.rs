@@ -1,13 +1,17 @@
 //! Workspace-level tests of the `aqks-analyze` static analyzer: one
 //! positive and one negative case per pass on the university schema, and
 //! the regression the analyzer exists for — SQAK's duplicate-inflated
-//! aggregate on the Figure 2 database is flagged `AQ-P5` while the paper
-//! engine's translation of the same query is clean.
+//! aggregates on the Figure 2, TPC-H′ and ACMDL′ databases are flagged
+//! `AQ-P5` while the paper engine's translations of the same queries are
+//! clean.
 
 use aqks::analyze::{analyze, Severity};
 use aqks::datasets::university;
 use aqks::relational::{AttrType, DatabaseSchema, RelationSchema};
 use aqks::sqlgen::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
+use aqks_eval::workload::{
+    acmdl_prime_database, acmdl_queries, tpch_prime_database, tpch_queries, Scale,
+};
 
 fn schema() -> DatabaseSchema {
     university::normalized().schema()
@@ -182,24 +186,40 @@ fn p5_flags_sum_over_rows_duplicated_along_a_non_key_fd() {
 
 /// Regression: on the Figure 2 unnormalized database, SQAK's translation
 /// of "Engineering COUNT Department" joins duplicated Lecturer rows and
-/// counts 2 departments where there is 1. The analyzer must flag the
-/// SQAK statement `AQ-P5` and keep the paper engine's statement clean.
+/// counts 2 departments where there is 1; on TPC-H′ and ACMDL′ SQAK's
+/// statements inflate the answers Tables 8 and 9 report. On each
+/// database the analyzer must flag at least one SQAK statement `AQ-P5`,
+/// every `AQ-P5` finding must be an error, and the paper engine's
+/// statements for the same queries must be clean.
 #[test]
 fn p5_regression_fig2_sqak_vs_engine() {
-    let db = university::unnormalized_fig2();
-    let schema = db.schema();
-
-    let sqak = aqks::sqak::Sqak::new(db.clone());
-    let bad = sqak.generate("Engineering COUNT Department").unwrap();
-    let report = analyze(&bad.sql, &schema);
-    assert!(report.has_code("AQ-P5"), "{}\n{report:?}", bad.sql_text);
-    assert!(report.has_errors());
-
-    let engine = aqks::core::Engine::new(db).unwrap();
-    let good = engine.generate("Engineering COUNT Department", 1).unwrap();
-    assert!(!good.is_empty());
-    for g in &good {
-        assert_eq!(g.diagnostics.error_count(), 0, "{}\n{:?}", g.sql_text, g.diagnostics);
+    let texts = |queries: Vec<aqks_eval::EvalQuery>| queries.iter().map(|q| q.text).collect();
+    let workloads: [(_, Vec<&str>); 3] = [
+        (university::unnormalized_fig2(), vec!["Engineering COUNT Department"]),
+        (tpch_prime_database(Scale::Small), texts(tpch_queries())),
+        (acmdl_prime_database(Scale::Small), texts(acmdl_queries())),
+    ];
+    for (db, queries) in workloads {
+        let schema = db.schema();
+        let sqak = aqks::sqak::Sqak::new(db.clone());
+        let engine = aqks::core::Engine::new(db.clone()).unwrap();
+        let mut flagged = 0;
+        for q in queries {
+            // SQAK cannot express every workload query (the N.A. rows).
+            if let Ok(bad) = sqak.generate(q) {
+                let report = analyze(&bad.sql, &schema);
+                for d in report.diagnostics.iter().filter(|d| d.code == "AQ-P5") {
+                    assert_eq!(d.severity, Severity::Error, "{}\n{d:?}", bad.sql_text);
+                }
+                flagged += usize::from(report.has_code("AQ-P5"));
+            }
+            let good = engine.generate(q, 1).unwrap();
+            assert!(!good.is_empty(), "{}: {q}", db.name);
+            for g in &good {
+                assert_eq!(g.diagnostics.error_count(), 0, "{}\n{:?}", g.sql_text, g.diagnostics);
+            }
+        }
+        assert!(flagged >= 1, "{}: no SQAK statement flagged AQ-P5", db.name);
     }
 }
 

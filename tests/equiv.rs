@@ -87,7 +87,7 @@ fn assert_shared_set_is_the_engines(db: &Database, queries: &[EvalQuery], worklo
 
 #[test]
 fn university_equivalence_classes_execute_identically() {
-    let queries = aqks_eval::plans::university_queries();
+    let queries = aqks_eval::university_queries();
     let db = aqks::datasets::university::normalized();
     assert!(assert_shared_set_is_the_engines(&db, &queries, "university") > 0);
 }

@@ -2,7 +2,9 @@
 //! acceptance scenario of the guard layer. A TPC-H′ (denormalized)
 //! workload under starvation budgets must come back as a *structured*
 //! [`Exhaustion`] report — never a panic, never a stringly error — with
-//! whatever interpretations completed before the trip.
+//! whatever interpretations completed before the trip. Built with the
+//! `failpoints` feature, every fault-injection site must likewise come
+//! back typed and leave the engine answering.
 
 use std::time::Duration;
 
@@ -124,4 +126,25 @@ fn governance_is_per_call() {
     let a = engine.run("Green SUM Credit", &AnswerRequest::new(1)).unwrap();
     assert!(a.exhaustion.is_none());
     assert_eq!(a.interpretations.len(), 1);
+}
+
+/// Every fault-injection site surfaces as `CoreError::Fault` naming the
+/// site (not a panic, a stringified wrapper or an empty answer) and
+/// leaves no torn state: disarmed, the same engine answers again. The
+/// query's value term probes the index and its aggregate over joined
+/// relations builds a hash join and finalizes an aggregate.
+#[cfg(feature = "failpoints")]
+#[test]
+fn every_fault_site_surfaces_typed_and_recovers() {
+    use aqks::core::CoreError;
+    use aqks::guard::failpoint;
+    for site in ["index.lookup", "translate", "join.build", "agg.finalize"] {
+        let engine = Engine::new(university::normalized()).unwrap();
+        failpoint::enable(site);
+        let armed = engine.answer("Green SUM Credit", 1);
+        failpoint::disable(site);
+        assert!(matches!(armed, Err(CoreError::Fault(s)) if s == site), "{site}: {armed:?}");
+        let recovered = engine.answer("Green SUM Credit", 1).unwrap();
+        assert!(!recovered.is_empty(), "{site}: engine did not recover");
+    }
 }
