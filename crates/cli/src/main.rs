@@ -54,15 +54,22 @@
 //! and REPL queries; `chrome` additionally writes a `trace_event` JSON
 //! file (`--trace-out FILE`, default `aqks-trace.json`) loadable in
 //! `chrome://tracing` or Perfetto. `trace --slow` instead answers the
-//! queries through the ordinary (untraced) path — which files every
-//! query with the always-on flight recorder — and prints the retained
-//! slowest-query exemplar's span tree.
+//! queries untraced — every metered query is filed with the always-on
+//! flight recorder — and prints the retained slowest-query exemplar's
+//! span tree.
 //!
 //! Subcommand `aqks metrics [--prom|--json] [--dataset NAME] [QUERY]`
 //! answers the query (or the dataset's built-in workload) and prints
 //! the always-on metrics registry — engine phase/latency histograms,
-//! per-operator rows and peak memory, guard trips — in Prometheus text
-//! format v0.0.4 (the default) or as a JSON snapshot.
+//! per-operator rows and peak memory, worker pools, memo and share
+//! sites, guard trips — in Prometheus text format v0.0.4 (the default)
+//! or as a JSON snapshot. The registry is a fold of each query's span
+//! tree, so it counts what `aqks trace` shows.
+//!
+//! `trace` and `metrics` answer under the budget flags like a one-shot
+//! query: an exhausted query prints its `budget exhausted: …` line to
+//! stderr, the span tree or exposition is still printed, and the
+//! process exits with code 3.
 //!
 //! Subcommand `aqks serve [--dataset NAME] [--addr HOST:PORT]
 //! [--workers N] [--queue-depth N]` loads the dataset once and serves
@@ -568,26 +575,59 @@ fn run_explain_shared(engine: &Engine, queries: &[String], k: usize) -> usize {
     failures
 }
 
+/// What a workload run under one [`AnswerRequest`] came to: queries
+/// that failed, and whether any query's budget tripped.
+#[derive(Default)]
+struct Outcome {
+    failures: usize,
+    exhausted: bool,
+}
+
+impl Outcome {
+    /// Tallies one answer. An exhausted budget prints the one-shot
+    /// query's `budget exhausted: …` line to stderr.
+    fn note(&mut self, answered: &aqks_core::Answered) {
+        if let Some(ex) = &answered.exhaustion {
+            eprintln!("budget exhausted: {ex}");
+            self.exhausted = true;
+        }
+    }
+
+    /// Exits `1` after `what` failed for some query, [`EXIT_EXHAUSTED`]
+    /// after a budget tripped; returns otherwise.
+    fn exit_on_failure(&self, what: &str) {
+        if self.failures > 0 {
+            eprintln!("{what} failed for {} quer(y/ies)", self.failures);
+            std::process::exit(1);
+        }
+        if self.exhausted {
+            std::process::exit(EXIT_EXHAUSTED);
+        }
+    }
+}
+
 /// Answers each query with tracing enabled and prints the pipeline span
-/// tree. Returns the number of failures (errors or empty span trees —
-/// the latter would mean the pipeline silently lost its instrumentation,
-/// which CI guards against).
+/// tree. Failures are errors or empty span trees — the latter would
+/// mean the pipeline silently lost its instrumentation, which CI guards
+/// against.
 fn run_trace(
     engine: &Engine,
     queries: &[String],
-    k: usize,
+    req: &AnswerRequest,
     fmt: TraceFormat,
     trace_out: &str,
-) -> usize {
-    let mut failures = 0;
+) -> Outcome {
+    let mut outcome = Outcome::default();
+    let req = AnswerRequest { trace: true, ..req.clone() };
     for q in queries {
         outln!("── trace `{q}`");
-        match engine.run(q, &AnswerRequest { trace: true, ..AnswerRequest::new(k) }) {
+        match engine.run(q, &req) {
             Ok(answered) => {
+                outcome.note(&answered);
                 let trace = answered.trace.unwrap_or_default();
                 if trace.is_empty() {
                     outln!("  error: empty span tree");
-                    failures += 1;
+                    outcome.failures += 1;
                     continue;
                 }
                 for (rank, a) in answered.interpretations.iter().enumerate() {
@@ -598,32 +638,41 @@ fn run_trace(
             }
             Err(e) => {
                 outln!("  error: {e}");
-                failures += 1;
+                outcome.failures += 1;
             }
         }
     }
-    failures
+    outcome
 }
 
-/// Answers each query through the ordinary (untraced) path — every call
-/// is metered by the always-on registry and filed with the flight
-/// recorder — then prints the retained slowest-query exemplar's span
-/// tree. Returns the number of failures.
+/// Answers each query through [`Engine::run`] under `req` without
+/// returning a trace — every call is metered by the always-on registry
+/// and filed with the flight recorder. Errors go to stderr.
+fn run_metered(engine: &Engine, queries: &[String], req: &AnswerRequest) -> Outcome {
+    let mut outcome = Outcome::default();
+    let req = AnswerRequest { trace: false, ..req.clone() };
+    for q in queries {
+        match engine.run(q, &req) {
+            Ok(answered) => outcome.note(&answered),
+            Err(e) => {
+                eprintln!("error answering `{q}`: {e}");
+                outcome.failures += 1;
+            }
+        }
+    }
+    outcome
+}
+
+/// Answers each query metered (see [`run_metered`]), then prints the
+/// retained slowest-query exemplar's span tree.
 fn run_trace_slow(
     engine: &Engine,
     queries: &[String],
-    k: usize,
+    req: &AnswerRequest,
     fmt: TraceFormat,
     trace_out: &str,
-) -> usize {
-    let mut failures = 0;
-    for q in queries {
-        if let Err(e) = engine.answer(q, k) {
-            outln!("── trace --slow `{q}`");
-            outln!("  error: {e}");
-            failures += 1;
-        }
-    }
+) -> Outcome {
+    let mut outcome = run_metered(engine, queries, req);
     match aqks_obs::flight::global().slowest() {
         Some(entry) => {
             outln!(
@@ -639,30 +688,24 @@ fn run_trace_slow(
         }
         None => {
             outln!("  error: flight recorder is empty (metrics disabled?)");
-            failures += 1;
+            outcome.failures += 1;
         }
     }
-    failures
+    outcome
 }
 
-/// Answers each query (feeding the always-on registry), then prints the
+/// Answers each query metered (see [`run_metered`]), then prints the
 /// registry exposition: Prometheus text format v0.0.4, or a JSON
-/// snapshot with `--json`. Returns the number of failures.
-fn run_metrics(engine: &Engine, queries: &[String], k: usize, json: bool) -> usize {
-    let mut failures = 0;
-    for q in queries {
-        if let Err(e) = engine.answer(q, k) {
-            eprintln!("error answering `{q}`: {e}");
-            failures += 1;
-        }
-    }
+/// snapshot with `--json`.
+fn run_metrics(engine: &Engine, queries: &[String], req: &AnswerRequest, json: bool) -> Outcome {
+    let outcome = run_metered(engine, queries, req);
     let snapshot = aqks_obs::metrics::global().snapshot();
     if json {
         out!("{}", aqks_obs::expo::render_json(&snapshot));
     } else {
         out!("{}", aqks_obs::expo::render_prometheus(&snapshot));
     }
-    failures
+    outcome
 }
 
 /// Pushdown check for one query's interpretation set: each
@@ -1012,6 +1055,7 @@ fn main() {
         return;
     }
 
+    let req = AnswerRequest { k: opts.k, budget: opts.budget(), trace: opts.trace.is_some() };
     if opts.trace_cmd {
         let queries = opts
             .query
@@ -1019,15 +1063,12 @@ fn main() {
             .map(|q| vec![q.clone()])
             .unwrap_or_else(|| check_workload(&opts.dataset));
         let fmt = opts.trace.unwrap_or(TraceFormat::Text);
-        let failures = if opts.slow {
-            run_trace_slow(&engine, &queries, opts.k, fmt, &opts.trace_out)
+        let outcome = if opts.slow {
+            run_trace_slow(&engine, &queries, &req, fmt, &opts.trace_out)
         } else {
-            run_trace(&engine, &queries, opts.k, fmt, &opts.trace_out)
+            run_trace(&engine, &queries, &req, fmt, &opts.trace_out)
         };
-        if failures > 0 {
-            eprintln!("trace failed for {failures} quer(y/ies)");
-            std::process::exit(1);
-        }
+        outcome.exit_on_failure("trace");
         return;
     }
 
@@ -1037,11 +1078,7 @@ fn main() {
             .as_ref()
             .map(|q| vec![q.clone()])
             .unwrap_or_else(|| check_workload(&opts.dataset));
-        let failures = run_metrics(&engine, &queries, opts.k, opts.metrics_json);
-        if failures > 0 {
-            eprintln!("metrics failed for {failures} quer(y/ies)");
-            std::process::exit(1);
-        }
+        run_metrics(&engine, &queries, &req, opts.metrics_json).exit_on_failure("metrics");
         return;
     }
 
@@ -1061,7 +1098,6 @@ fn main() {
         return;
     }
 
-    let req = AnswerRequest { k: opts.k, budget: opts.budget(), trace: opts.trace.is_some() };
     if let Some(q) = &opts.query {
         let code =
             run_query(&engine, sqak.as_ref(), q, &req, opts.explain, opts.trace, &opts.trace_out);

@@ -137,6 +137,48 @@ fn metrics_prints_prometheus_exposition() {
     assert!(stdout.contains("aqks_ops_peak_bytes_bucket{op="), "{stdout}");
 }
 
+/// The budget flags reach `aqks metrics`: a starved query exits 3 with
+/// the one-shot query's stderr line, and the exposition still prints,
+/// counting the trip at its site.
+#[test]
+fn starved_metrics_exits_3_and_counts_the_guard_trip() {
+    let out = aqks()
+        .args(["metrics", "--timeout-ms", "0", "--dataset", "university", "Green SUM Credit"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("budget exhausted: deadline budget exhausted at `index.lookup`"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("aqks_guard_trips_total{site=\"index.lookup\"} 1"), "{stdout}");
+    assert!(stdout.contains("aqks_engine_queries_total 1"), "{stdout}");
+}
+
+#[test]
+fn starved_trace_slow_exits_3_with_the_tripped_exemplar() {
+    let out = aqks()
+        .args([
+            "trace",
+            "--slow",
+            "--timeout-ms",
+            "0",
+            "--dataset",
+            "university",
+            "Green SUM Credit",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("budget exhausted: deadline budget exhausted at"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(", budget tripped)"), "{stdout}");
+    assert!(stdout.contains("[guard.trips=1 guard.trip.index.lookup=1]"), "{stdout}");
+}
+
 #[test]
 fn metrics_json_is_a_snapshot_object() {
     let out = aqks()

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use aqks_analyze::{Analyzer, Report};
 use aqks_guard::{Budget, Exhaustion, Governor};
-use aqks_obs::metrics::{Counter, Gauge, Histogram, LabeledHistogram, Unit};
-use aqks_obs::{PipelineTrace, Recorder};
+use aqks_obs::metrics::{Counter, Gauge, Histogram, Registry, Unit};
+use aqks_obs::{PipelineTrace, Recorder, SpanNode};
 use aqks_orm::OrmGraph;
 use aqks_plancheck::Election;
 use aqks_relational::{Database, DatabaseSchema, NormalizedView};
@@ -41,35 +41,30 @@ static ANSWER_NS: Histogram = Histogram::new("aqks_engine_answer_ns", Unit::Nano
 /// Total result rows per answered query, summed over interpretations.
 static RESULT_ROWS: Histogram = Histogram::new("aqks_engine_result_rows", Unit::Count);
 
-/// Per-phase latency, labeled by pipeline phase name. Each occurrence
-/// of a phase span is one sample (`plan`/`exec` run once per
-/// interpretation, the front-end phases once per query).
-static PHASE_NS: LabeledHistogram =
-    LabeledHistogram::new("aqks_engine_phase_ns", "phase", Unit::Nanos);
-
 /// Entries currently held by the global flight recorder (ring +
 /// out-of-ring exemplars).
 static FLIGHT_RETAINED: Gauge = Gauge::new("aqks_flight_retained");
 
-/// Maps a span name to its static phase label; `None` for spans that
-/// are not top-level pipeline phases. The label set is closed so the
-/// labeled histogram's cardinality is bounded by the pipeline's shape.
-fn phase_label(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "parse" => "parse",
-        "match" => "match",
-        "pattern" => "pattern",
-        "annotate" => "annotate",
-        "rank" => "rank",
-        "translate" => "translate",
-        "analyze" => "analyze",
-        "plan" => "plan",
-        "plancheck" => "plancheck",
-        "exec" => "exec",
-        "guard" => "guard",
-        _ => return None,
-    })
-}
+/// Cells held by the projection memo of the database a metered run last
+/// filled.
+static MEMO_CELLS: Gauge = Gauge::new("aqks_exec_memo_cells");
+
+/// The top-level pipeline phases `aqks_engine_phase_ns{phase}` times.
+/// The set is closed so the histogram's cardinality is bounded by the
+/// pipeline's shape.
+const PHASES: [&str; 11] = [
+    "parse",
+    "match",
+    "pattern",
+    "annotate",
+    "rank",
+    "translate",
+    "analyze",
+    "plan",
+    "plancheck",
+    "exec",
+    "guard",
+];
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
@@ -502,7 +497,7 @@ impl Engine {
         rec.disable();
         let trace = if metered {
             let returned = req.trace.then(|| trace.clone());
-            observe(query, t0, &result, trace);
+            observe(&self.db, query, t0, &result, trace);
             returned
         } else {
             Some(trace)
@@ -680,10 +675,18 @@ impl Engine {
     }
 }
 
-/// Folds one metered [`Engine::run`] into the always-on metrics — the
-/// query counter, end-to-end, per-phase and result-row histograms — and
-/// files its trace with the flight recorder.
-fn observe(query: &str, t0: Instant, result: &Result<Answered, CoreError>, trace: PipelineTrace) {
+/// Folds one metered [`Engine::run`] into the always-on metrics and
+/// files its trace with the flight recorder. Besides the query counter
+/// and the end-to-end latency and result-row histograms, every
+/// per-query family is read off the trace (see [`Fold`]), so the
+/// registry is a view of the span tree rather than a second record.
+fn observe(
+    db: &Database,
+    query: &str,
+    t0: Instant,
+    result: &Result<Answered, CoreError>,
+    trace: PipelineTrace,
+) {
     let total_ns = t0.elapsed().as_nanos() as u64;
     let (rows, tripped) = match result {
         Ok(a) => (
@@ -696,15 +699,106 @@ fn observe(query: &str, t0: Instant, result: &Result<Answered, CoreError>, trace
     ANSWER_NS.observe(total_ns);
     RESULT_ROWS.observe(rows);
     if let Some(root) = trace.roots.iter().find(|r| r.name == "answer") {
-        for child in &root.children {
-            if let Some(label) = phase_label(&child.name) {
-                PHASE_NS.observe(label, child.total_ns);
-            }
+        let mut fold = Fold::default();
+        for phase in root.children.iter().filter(|c| PHASES.contains(&c.name.as_str())) {
+            entry(&mut fold.phases, phase.name.as_str()).push(phase.total_ns);
         }
+        root.visit(&mut |span| fold.span(span));
+        // A memo site missed, so the run may have filled the memo.
+        if fold.counters.iter().any(|((name, _), _)| *name == "aqks_exec_memo_misses") {
+            MEMO_CELLS.set(db.memo_cells() as i64);
+        }
+        fold.flush(aqks_obs::metrics::global());
     }
     let flight = aqks_obs::flight::global();
     flight.record(query, total_ns, tripped, trace);
     FLIGHT_RETAINED.set(flight.retained() as i64);
+}
+
+/// A registry counter: family name and optional `(key, value)` label.
+type Series<'t> = (&'static str, Option<(&'static str, &'t str)>);
+
+/// One operator kind's `op:` spans in a query.
+#[derive(Default)]
+struct OpTally {
+    rows: u64,
+    batches: u64,
+    wall_ns: Vec<u64>,
+    peak_bytes: Vec<u64>,
+}
+
+/// One query's registry updates, read off its span tree and gathered
+/// per series before any of them touches the registry — counters summed,
+/// histogram samples listed — so each series costs one registry lookup.
+/// Each `op:{Kind}` span feeds `aqks_ops_*{op}` (its wall time is
+/// `total_ns`); the other families come from span counters.
+#[derive(Default)]
+struct Fold<'t> {
+    ops: Vec<(&'t str, OpTally)>,
+    phases: Vec<(&'t str, Vec<u64>)>,
+    counters: Vec<(Series<'t>, u64)>,
+}
+
+/// The value kept for `key` in `entries`, added as `V::default()` when
+/// new: the handful of series one query feeds is searched faster than
+/// hashed.
+fn entry<K: PartialEq, V: Default>(entries: &mut Vec<(K, V)>, key: K) -> &mut V {
+    let i = match entries.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            entries.push((key, V::default()));
+            entries.len() - 1
+        }
+    };
+    &mut entries[i].1
+}
+
+impl<'t> Fold<'t> {
+    fn span(&mut self, span: &'t SpanNode) {
+        let count = |name| span.counter(name).unwrap_or(0);
+        if let Some(op) = span.name.strip_prefix("op:") {
+            let t = entry(&mut self.ops, op);
+            t.rows += count("rows_out");
+            t.batches += count("batches");
+            t.wall_ns.push(span.total_ns);
+            t.peak_bytes.push(count("peak_bytes"));
+            return;
+        }
+        for (name, n) in &span.counters {
+            let series = if let Some(site) = name.strip_prefix("guard.trip.") {
+                ("aqks_guard_trips", Some(("site", site)))
+            } else if let Some(site) = name.strip_prefix("par.tasks.") {
+                ("aqks_par_tasks", Some(("site", site)))
+            } else {
+                let family = match name.as_str() {
+                    "par.pools" => "aqks_par_pools",
+                    "exec.memo_hits" => "aqks_exec_memo_hits",
+                    "exec.memo_misses" => "aqks_exec_memo_misses",
+                    "exec.share_replays" => "aqks_exec_share_hits",
+                    "exec.share_misses" => "aqks_exec_share_misses",
+                    _ => continue,
+                };
+                (family, None)
+            };
+            *entry(&mut self.counters, series) += n;
+        }
+    }
+
+    fn flush(self, registry: &Registry) {
+        for (phase, samples) in &self.phases {
+            registry.observe("aqks_engine_phase_ns", Some(("phase", phase)), Unit::Nanos, samples);
+        }
+        for (op, t) in &self.ops {
+            let label = Some(("op", *op));
+            registry.add("aqks_ops_rows", label, t.rows);
+            registry.add("aqks_ops_batches", label, t.batches);
+            registry.observe("aqks_ops_wall_ns", label, Unit::Nanos, &t.wall_ns);
+            registry.observe("aqks_ops_peak_bytes", label, Unit::Bytes, &t.peak_bytes);
+        }
+        for ((name, label), n) in self.counters {
+            registry.add(name, label, n);
+        }
+    }
 }
 
 /// How one query term matched, in words (see [`Engine::explain`]).

@@ -83,20 +83,8 @@ fn analyze_by(plans: &[PlanNode], hash: impl Fn(&PlanNode) -> u64) -> ClassAnaly
         })
         .collect();
     aqks_obs::counter("equiv.classes", classes.len() as u64);
-    if aqks_obs::metrics::enabled() {
-        CLASSES.add(classes.len() as u64);
-        DUPLICATES.add(plans.len().saturating_sub(classes.len()) as u64);
-    }
     ClassAnalysis { classes }
 }
-
-/// Classes found across all [`analyze`] calls.
-static CLASSES: aqks_obs::metrics::Counter = aqks_obs::metrics::Counter::new("aqks_equiv_classes");
-
-/// Plans equal to an earlier class member — each one is a statement the
-/// shared executor never has to run.
-static DUPLICATES: aqks_obs::metrics::Counter =
-    aqks_obs::metrics::Counter::new("aqks_equiv_duplicates");
 
 #[cfg(test)]
 mod tests {

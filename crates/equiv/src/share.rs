@@ -71,20 +71,8 @@ pub fn shared_set(analysis: &ClassAnalysis) -> SharedSet {
         })
         .collect();
     aqks_obs::counter("equiv.shared_subtrees", shares.len() as u64);
-    if aqks_obs::metrics::enabled() {
-        SHARED_SUBTREES.add(shares.len() as u64);
-    }
     SharedSet { plans, shares }
 }
-
-/// Shared subtrees elected across all [`shared_set`] calls.
-static SHARED_SUBTREES: aqks_obs::metrics::Counter =
-    aqks_obs::metrics::Counter::new("aqks_equiv_shared_subtrees");
-
-/// Consumer-site replays of a materialized shared subtree — each one
-/// replaced a full re-execution of that subtree.
-static SHARE_REPLAYS: aqks_obs::metrics::Counter =
-    aqks_obs::metrics::Counter::new("aqks_equiv_share_replays");
 
 /// Executes a shared set: each shared subtree is materialized once,
 /// then every representative plan runs with the materialized batches
@@ -114,17 +102,12 @@ pub fn run_shared_opts(
     let mut plan_stats = Vec::with_capacity(set.plans.len());
     for (pi, plan) in set.plans.iter().enumerate() {
         let mut cached = SharedRows::new();
-        let mut replays = 0u64;
         for (k, sp) in set.shares.iter().enumerate() {
             for &(p, id) in &sp.consumers {
                 if p == pi {
                     cached.insert(id, Arc::clone(&share_batches[k]));
-                    replays += 1;
                 }
             }
-        }
-        if replays > 0 && aqks_obs::metrics::enabled() {
-            SHARE_REPLAYS.add(replays);
         }
         let (table, stats) = run_plan_opts(plan, db, &cached, opts)?;
         tables.push(table);

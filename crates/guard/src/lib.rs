@@ -45,12 +45,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// First budget trips, labeled by the charge site that tripped. Bumped
-/// once per governed scope (first-trip-wins), not per failed charge, so
-/// the counter reads as "queries cut short here".
-static TRIPS: aqks_obs::metrics::LabeledCounter =
-    aqks_obs::metrics::LabeledCounter::new("aqks_guard_trips", "site");
-
 /// Which budget dimension was exceeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BudgetKind {
@@ -260,9 +254,6 @@ impl Governor {
     /// means "give me the top `n`", not "abandon the query".
     fn record_trip(&self, kind: BudgetKind, site: &'static str) -> Tripped {
         let mut slot = lock(&self.inner.trip);
-        if slot.is_none() && aqks_obs::metrics::enabled() {
-            TRIPS.add(site, 1);
-        }
         let t = *slot.get_or_insert(Tripped { kind, site });
         self.inner.recorded.store(true, Ordering::Relaxed);
         if kind != BudgetKind::Interpretations {

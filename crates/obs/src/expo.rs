@@ -75,7 +75,7 @@ fn type_name(m: &Metric) -> &'static str {
 /// The `{key="value",le="..."}` label set (empty string when bare).
 fn label_set(m: &Metric, le: Option<&str>) -> String {
     let mut parts = Vec::new();
-    if let Some((k, v)) = m.label {
+    if let Some((k, v)) = &m.label {
         parts.push(format!("{k}=\"{}\"", escape_label(v)));
     }
     if let Some(le) = le {
@@ -118,7 +118,7 @@ pub fn render_json(snap: &Snapshot) -> String {
     for (idx, m) in snap.metrics.iter().enumerate() {
         out.push_str("    {");
         out.push_str(&format!("\"name\": \"{}\"", crate::trace::escape(m.name)));
-        if let Some((k, v)) = m.label {
+        if let Some((k, v)) = &m.label {
             out.push_str(&format!(
                 ", \"label\": {{\"{}\": \"{}\"}}",
                 crate::trace::escape(k),

@@ -22,19 +22,22 @@
 //!    the free function [`counter`] attach to the innermost active span
 //!    without the intermediate layers (matcher, executor, analyzer
 //!    passes) ever seeing a recorder argument.
-//! 3. **Cross-thread handoff.** [`Span::handle`] produces a `Send`
-//!    [`SpanHandle`]; [`SpanHandle::child`] opens a child span on another
-//!    thread, parented correctly in the final tree.
-//! 4. **Externally-timed work joins the tree.** Measurements accumulated
+//! 3. **Externally-timed work joins the tree.** Measurements accumulated
 //!    elsewhere (the Volcano executor's per-operator `ExecStats`) are
 //!    grafted in as completed spans via [`Recorder::record_span`].
+//! 4. **One record.** The span tree is where per-query telemetry is
+//!    written. Work that runs on other threads (the executor's worker
+//!    pools) is tallied by its caller and added to the caller's ambient
+//!    span, so every span and counter is recorded on the thread that
+//!    owns it.
 //!
 //! Alongside the per-call recorder, three sibling modules provide
 //! *cumulative* telemetry with the same cost discipline:
 //!
 //! * [`metrics`] — an always-on registry of counters, gauges, and
-//!   log-linear histograms (lock-free recording, zero-alloc disabled
-//!   path);
+//!   log-linear histograms (zero-alloc disabled path). Its per-query
+//!   families are a fold of each metered query's span tree, so the
+//!   registry and the trace cannot disagree;
 //! * [`flight`] — a bounded ring-buffer flight recorder keeping the N
 //!   most recent [`PipelineTrace`]s plus the slowest and last
 //!   budget-tripped exemplars;
@@ -49,9 +52,6 @@ pub mod recorder;
 pub mod trace;
 
 pub use flight::{FlightEntry, FlightRecorder};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LabeledCounter, LabeledHistogram, Registry,
-    Snapshot, Unit,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, Unit};
 pub use recorder::{counter, current, Recorder, Span, SpanHandle};
 pub use trace::{PipelineTrace, SpanNode};

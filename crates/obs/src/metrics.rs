@@ -1,21 +1,29 @@
 //! Always-on cumulative metrics: named counters, gauges, and
-//! log-linear-bucket histograms behind a lock-free recording path.
+//! log-linear-bucket histograms.
 //!
 //! The span [`crate::Recorder`] answers "what did *this* call do";
 //! this module answers "what has the engine done *so far*" — latency
 //! and row-count distributions, per-site trip counts, per-operator
-//! byte accounting — without a bench harness rerun.
+//! byte accounting — without a bench harness rerun. The per-query
+//! families are not written by the layers that do the work: they
+//! write spans and span counters, and the engine folds each metered
+//! query's span tree into this registry once, summing every series
+//! locally first. The registry is a view of the trace, not a second
+//! record of it.
 //!
 //! Design constraints, matching the recorder's:
 //!
-//! 1. **Recording is a few atomic ops.** Every metric handle caches a
-//!    reference to its registered cell; a counter bump is one enabled
-//!    check plus one `fetch_add`, a histogram observation is five
-//!    relaxed atomic RMWs (count, sum, min, max, bucket). No lock is
-//!    on the hot path — the registry [`Mutex`] is taken only when a
-//!    metric (or a new label of a labeled metric) is seen for the
-//!    first time.
-//! 2. **Disabled means free.** With the registry disabled the hot path
+//! 1. **Recording is cheap.** A `static` handle ([`Counter`],
+//!    [`Gauge`], [`Histogram`]) caches its registered cell; a counter
+//!    bump is one enabled check plus one `fetch_add`, a histogram
+//!    observation five relaxed atomic RMWs (count, sum, min, max,
+//!    bucket). A labeled series ([`Registry::add`],
+//!    [`Registry::observe`]) is found by a hash lookup on borrowed
+//!    strings under the registry's [`RwLock`] read lock, so concurrent
+//!    queries do not block each other and nothing is allocated once the
+//!    series exists. Label values are owned strings, so a label can be
+//!    any operator, site or phase name a span carries.
+//! 2. **Disabled means free.** With the registry disabled every call
 //!    is a relaxed load and an early return: zero allocations, pinned
 //!    by the `metrics_overhead` integration test with a counting
 //!    allocator (the same harness that pins the recorder).
@@ -30,8 +38,9 @@
 //! `exec-large` run over paper-scale TPC-H′ reports it as
 //! `obs.overhead_pct`, and CI fails above 5%.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Number of histogram buckets. The layout is log-linear: values 0–3
 /// get their own bucket, then every power of two is split into 4
@@ -96,10 +105,6 @@ impl CounterCell {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A gauge cell: a settable signed value (ring occupancy, pool sizes).
@@ -122,10 +127,6 @@ impl GaugeCell {
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -179,16 +180,6 @@ impl HistogramCell {
             buckets,
         }
     }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 impl std::fmt::Debug for HistogramCell {
@@ -232,15 +223,6 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    /// Arithmetic mean of the observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -250,22 +232,23 @@ enum Cell {
     Histogram(Arc<HistogramCell>, Unit),
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    name: &'static str,
-    label: Option<(&'static str, &'static str)>,
-    cell: Cell,
-}
+/// Series of one name under one label key (`None`: unlabeled), by
+/// label value (`""` when unlabeled). Label values are owned, so any
+/// string a span carries can label a series.
+type Families = HashMap<(&'static str, Option<&'static str>), HashMap<String, Cell>>;
 
 /// A named registry of counters, gauges, and histograms.
 ///
-/// Registration (first use of a name, or of a new label value) takes a
-/// mutex; recording through the returned [`Arc`] cells never does.
+/// Finding a series takes a read lock and two hash lookups keyed by
+/// borrowed strings, so it allocates nothing and blocks no other reader
+/// once the series exists; only registering a new series takes the
+/// write lock. Recording through a returned [`Arc`] cell takes no lock
+/// at all.
 /// Independent registries can be built for tests or scoped collection.
 #[derive(Debug)]
 pub struct Registry {
     enabled: AtomicBool,
-    inner: Mutex<Vec<Entry>>,
+    inner: RwLock<Families>,
 }
 
 impl Default for Registry {
@@ -274,17 +257,10 @@ impl Default for Registry {
     }
 }
 
-/// Recovers the entry list from a poisoned lock — cells are atomic, so
-/// the list is structurally sound even if a panic interrupted a
-/// registration.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 impl Registry {
     /// Builds an empty, **enabled** registry.
     pub fn new() -> Registry {
-        Registry { enabled: AtomicBool::new(true), inner: Mutex::new(Vec::new()) }
+        Registry { enabled: AtomicBool::new(true), inner: RwLock::new(HashMap::new()) }
     }
 
     /// Whether recording is on (one relaxed load).
@@ -292,33 +268,63 @@ impl Registry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off. Handles check this before touching
-    /// their cells; existing cell values are kept.
+    /// Turns recording on or off. Handles, [`Registry::add`] and
+    /// [`Registry::observe`] check this before touching their cells;
+    /// existing cell values are kept.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
+    /// The series map, read-locked. Cells are atomic, so the map is
+    /// sound even if a panic interrupted a registration: a poisoned lock
+    /// is recovered.
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Families> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cell of series `name{label}`, registered with `make` first if
+    /// it is new.
     fn register(
         &self,
         name: &'static str,
-        label: Option<(&'static str, &'static str)>,
+        label: Option<(&'static str, &str)>,
         make: impl FnOnce() -> Cell,
     ) -> Cell {
-        let mut inner = relock(&self.inner);
-        if let Some(e) = inner.iter().find(|e| e.name == name && e.label == label) {
-            return e.cell.clone();
+        let family = (name, label.map(|l| l.0));
+        let value = label.map_or("", |l| l.1);
+        if let Some(cell) = self.read().get(&family).and_then(|series| series.get(value)) {
+            return cell.clone();
         }
-        let cell = make();
-        inner.push(Entry { name, label, cell: cell.clone() });
-        cell
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        inner.entry(family).or_default().entry(value.to_string()).or_insert_with(make).clone()
+    }
+
+    fn counter_cell(
+        &self,
+        name: &'static str,
+        label: Option<(&'static str, &str)>,
+    ) -> Arc<CounterCell> {
+        match self.register(name, label, || Cell::Counter(Arc::new(CounterCell::default()))) {
+            Cell::Counter(c) => c,
+            other => panic!("metric `{name}` already registered as {other:?}"),
+        }
+    }
+
+    fn histogram_cell(
+        &self,
+        name: &'static str,
+        label: Option<(&'static str, &str)>,
+        unit: Unit,
+    ) -> Arc<HistogramCell> {
+        match self.register(name, label, || Cell::Histogram(Arc::new(HistogramCell::new()), unit)) {
+            Cell::Histogram(h, _) => h,
+            other => panic!("metric `{name}` already registered as {other:?}"),
+        }
     }
 
     /// Registers (or finds) the counter `name`.
     pub fn counter(&self, name: &'static str) -> Arc<CounterCell> {
-        match self.register(name, None, || Cell::Counter(Arc::new(CounterCell::default()))) {
-            Cell::Counter(c) => c,
-            other => panic!("metric `{name}` already registered as {other:?}"),
-        }
+        self.counter_cell(name, None)
     }
 
     /// Registers (or finds) the counter `name{key="label"}`.
@@ -326,30 +332,22 @@ impl Registry {
         &self,
         name: &'static str,
         key: &'static str,
-        label: &'static str,
+        label: &str,
     ) -> Arc<CounterCell> {
-        match self
-            .register(name, Some((key, label)), || Cell::Counter(Arc::new(CounterCell::default())))
-        {
-            Cell::Counter(c) => c,
-            other => panic!("metric `{name}` already registered as {other:?}"),
-        }
+        self.counter_cell(name, Some((key, label)))
     }
 
     /// Registers (or finds) the gauge `name`.
     pub fn gauge(&self, name: &'static str) -> Arc<GaugeCell> {
         match self.register(name, None, || Cell::Gauge(Arc::new(GaugeCell::default()))) {
-            Cell::Gauge(c) => c,
+            Cell::Gauge(g) => g,
             other => panic!("metric `{name}` already registered as {other:?}"),
         }
     }
 
     /// Registers (or finds) the histogram `name` with value unit `unit`.
     pub fn histogram(&self, name: &'static str, unit: Unit) -> Arc<HistogramCell> {
-        match self.register(name, None, || Cell::Histogram(Arc::new(HistogramCell::new()), unit)) {
-            Cell::Histogram(c, _) => c,
-            other => panic!("metric `{name}` already registered as {other:?}"),
-        }
+        self.histogram_cell(name, None, unit)
     }
 
     /// Registers (or finds) the histogram `name{key="label"}`.
@@ -357,45 +355,55 @@ impl Registry {
         &self,
         name: &'static str,
         key: &'static str,
-        label: &'static str,
+        label: &str,
         unit: Unit,
     ) -> Arc<HistogramCell> {
-        match self.register(name, Some((key, label)), || {
-            Cell::Histogram(Arc::new(HistogramCell::new()), unit)
-        }) {
-            Cell::Histogram(c, _) => c,
-            other => panic!("metric `{name}` already registered as {other:?}"),
+        self.histogram_cell(name, Some((key, label)), unit)
+    }
+
+    /// Adds `n` to the counter `name`, or `name{key="value"}` for
+    /// `label: Some((key, value))`, when the registry is enabled.
+    pub fn add(&self, name: &'static str, label: Option<(&'static str, &str)>, n: u64) {
+        if self.is_enabled() {
+            self.counter_cell(name, label).add(n);
+        }
+    }
+
+    /// Records each of `values` in the histogram `name` (or
+    /// `name{key="value"}`) with value unit `unit`, when the registry is
+    /// enabled: one series lookup for the whole batch.
+    pub fn observe(
+        &self,
+        name: &'static str,
+        label: Option<(&'static str, &str)>,
+        unit: Unit,
+        values: &[u64],
+    ) {
+        if self.is_enabled() {
+            let h = self.histogram_cell(name, label, unit);
+            values.iter().for_each(|&v| h.record(v));
         }
     }
 
     /// Snapshots every metric, sorted by name then label value — the
     /// stable order the Prometheus exposition relies on.
     pub fn snapshot(&self) -> Snapshot {
-        let entries: Vec<Entry> = relock(&self.inner).clone();
-        let mut metrics: Vec<Metric> = entries
-            .into_iter()
-            .map(|e| {
-                let (unit, value) = match &e.cell {
+        let mut metrics: Vec<Metric> = Vec::new();
+        for ((name, key), series) in self.read().iter() {
+            for (value, cell) in series {
+                let (unit, v) = match cell {
                     Cell::Counter(c) => (Unit::Count, MetricValue::Counter(c.get())),
                     Cell::Gauge(g) => (Unit::Count, MetricValue::Gauge(g.get())),
                     Cell::Histogram(h, u) => (*u, MetricValue::Histogram(h.snapshot())),
                 };
-                Metric { name: e.name, label: e.label, unit, value }
-            })
-            .collect();
-        metrics.sort_by(|a, b| (a.name, a.label.map(|l| l.1)).cmp(&(b.name, b.label.map(|l| l.1))));
-        Snapshot { metrics }
-    }
-
-    /// Zeroes every registered cell (names and labels stay registered).
-    pub fn reset(&self) {
-        for e in relock(&self.inner).iter() {
-            match &e.cell {
-                Cell::Counter(c) => c.reset(),
-                Cell::Gauge(g) => g.reset(),
-                Cell::Histogram(h, _) => h.reset(),
+                let label = key.map(|k| (k, value.clone()));
+                metrics.push(Metric { name, label, unit, value: v });
             }
         }
+        metrics.sort_by(|a, b| {
+            (a.name, a.label.as_ref().map(|l| &l.1)).cmp(&(b.name, b.label.as_ref().map(|l| &l.1)))
+        });
+        Snapshot { metrics }
     }
 }
 
@@ -409,7 +417,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// Finds a metric by name and (optional) label value.
     pub fn find(&self, name: &str, label: Option<&str>) -> Option<&Metric> {
-        self.metrics.iter().find(|m| m.name == name && m.label.map(|l| l.1) == label)
+        self.metrics
+            .iter()
+            .find(|m| m.name == name && m.label.as_ref().map(|l| l.1.as_str()) == label)
     }
 
     /// Sum over all labels of the counter `name` (0 if absent).
@@ -431,7 +441,7 @@ pub struct Metric {
     /// Registered name.
     pub name: &'static str,
     /// Optional `(key, value)` label.
-    pub label: Option<(&'static str, &'static str)>,
+    pub label: Option<(&'static str, String)>,
     /// Value unit (always [`Unit::Count`] for counters and gauges).
     pub unit: Unit,
     /// The value.
@@ -489,11 +499,6 @@ impl Counter {
         }
         self.cell.get_or_init(|| global().counter(self.name)).add(n);
     }
-
-    /// Current value (registers the name if never recorded).
-    pub fn get(&self) -> u64 {
-        self.cell.get_or_init(|| global().counter(self.name)).get()
-    }
 }
 
 /// A `static`-friendly gauge handle bound to the global registry.
@@ -523,11 +528,6 @@ impl Gauge {
         }
         self.cell.get_or_init(|| global().gauge(self.name)).add(d);
     }
-
-    /// Current value (registers the name if never recorded).
-    pub fn get(&self) -> i64 {
-        self.cell.get_or_init(|| global().gauge(self.name)).get()
-    }
 }
 
 /// A `static`-friendly histogram handle bound to the global registry.
@@ -549,136 +549,6 @@ impl Histogram {
             return;
         }
         self.cell.get_or_init(|| global().histogram(self.name, self.unit)).record(v);
-    }
-}
-
-/// One published node of a labeled handle's lock-free label chain.
-/// Nodes are pushed once and never unlinked before the handle drops,
-/// so a `&Node` obtained while the handle is alive stays valid.
-struct Node<C> {
-    label: &'static str,
-    cell: Arc<C>,
-    next: *mut Node<C>,
-}
-
-/// A lock-free, append-only `label -> cell` map: an atomic singly
-/// linked list of heap nodes. Reads walk the chain without locking;
-/// inserts CAS-push a new head. Two threads racing to insert the same
-/// label may push two nodes, but the registry hands both the same
-/// cell, so recording stays correct.
-struct Chain<C> {
-    head: AtomicPtr<Node<C>>,
-}
-
-// SAFETY: nodes are immutable after publication and only freed by
-// `Drop` (which has `&mut self`); the cells inside are `Send + Sync`.
-unsafe impl<C: Send + Sync> Send for Chain<C> {}
-unsafe impl<C: Send + Sync> Sync for Chain<C> {}
-
-impl<C> Chain<C> {
-    const fn new() -> Chain<C> {
-        Chain { head: AtomicPtr::new(std::ptr::null_mut()) }
-    }
-
-    fn find(&self, label: &str) -> Option<&C> {
-        let mut p = self.head.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: `p` came from `Box::into_raw` in `push` and is
-            // not freed while `&self` is borrowed.
-            let node = unsafe { &*p };
-            if node.label == label {
-                return Some(&node.cell);
-            }
-            p = node.next;
-        }
-        None
-    }
-
-    fn push(&self, label: &'static str, cell: Arc<C>) -> &C {
-        let node = Box::into_raw(Box::new(Node { label, cell, next: std::ptr::null_mut() }));
-        loop {
-            let head = self.head.load(Ordering::Acquire);
-            // SAFETY: `node` is unpublished — this thread owns it.
-            unsafe { (*node).next = head };
-            if self.head.compare_exchange(head, node, Ordering::Release, Ordering::Acquire).is_ok()
-            {
-                // SAFETY: now published; nodes live until `Drop`.
-                return unsafe { &(*node).cell };
-            }
-        }
-    }
-}
-
-impl<C> Drop for Chain<C> {
-    fn drop(&mut self) {
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            // SAFETY: exclusive access; each node was a `Box`.
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next;
-        }
-    }
-}
-
-/// A `static`-friendly counter family keyed by one `&'static str`
-/// label (operator names, guard sites, pipeline phases). Lookup of a
-/// known label is a lock-free list walk over the handful of labels the
-/// family has seen.
-pub struct LabeledCounter {
-    name: &'static str,
-    key: &'static str,
-    chain: Chain<CounterCell>,
-}
-
-impl LabeledCounter {
-    /// Declares a labeled counter handle (usable in `static` position).
-    pub const fn new(name: &'static str, key: &'static str) -> LabeledCounter {
-        LabeledCounter { name, key, chain: Chain::new() }
-    }
-
-    /// Adds `n` to the `label` series when the global registry is
-    /// enabled.
-    pub fn add(&self, label: &'static str, n: u64) {
-        if !enabled() {
-            return;
-        }
-        match self.chain.find(label) {
-            Some(cell) => cell.add(n),
-            None => {
-                self.chain.push(label, global().labeled_counter(self.name, self.key, label)).add(n)
-            }
-        }
-    }
-}
-
-/// A `static`-friendly histogram family keyed by one `&'static str`
-/// label. Same chain mechanics as [`LabeledCounter`].
-pub struct LabeledHistogram {
-    name: &'static str,
-    key: &'static str,
-    unit: Unit,
-    chain: Chain<HistogramCell>,
-}
-
-impl LabeledHistogram {
-    /// Declares a labeled histogram handle (usable in `static` position).
-    pub const fn new(name: &'static str, key: &'static str, unit: Unit) -> LabeledHistogram {
-        LabeledHistogram { name, key, unit, chain: Chain::new() }
-    }
-
-    /// Records `v` in the `label` series when the global registry is
-    /// enabled.
-    pub fn observe(&self, label: &'static str, v: u64) {
-        if !enabled() {
-            return;
-        }
-        match self.chain.find(label) {
-            Some(cell) => cell.record(v),
-            None => self
-                .chain
-                .push(label, global().labeled_histogram(self.name, self.key, label, self.unit))
-                .record(v),
-        }
     }
 }
 
@@ -720,7 +590,6 @@ mod tests {
         assert_eq!(s.max, 0);
         assert!(s.buckets.is_empty());
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
@@ -780,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_and_reset() {
+    fn counters_and_gauges_find_their_cells() {
         let r = Registry::new();
         let c = r.counter("c");
         c.add(5);
@@ -790,9 +659,9 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
+        // A second registration finds the same cell.
+        assert_eq!(r.counter("c").get(), 7);
+        assert_eq!(r.gauge("g").get(), 7);
     }
 
     #[test]
@@ -813,8 +682,9 @@ mod tests {
         r.labeled_counter("b_metric", "op", "zeta").add(1);
         r.counter("a_metric").add(1);
         r.labeled_counter("b_metric", "op", "alpha").add(1);
+        let snap = r.snapshot();
         let names: Vec<(&str, Option<&str>)> =
-            r.snapshot().metrics.iter().map(|m| (m.name, m.label.map(|l| l.1))).collect();
+            snap.metrics.iter().map(|m| (m.name, m.label.as_ref().map(|l| l.1.as_str()))).collect();
         assert_eq!(
             names,
             vec![("a_metric", None), ("b_metric", Some("alpha")), ("b_metric", Some("zeta"))]
@@ -822,58 +692,55 @@ mod tests {
     }
 
     #[test]
-    fn labeled_handles_share_cells_with_the_global_registry() {
-        static C: LabeledCounter = LabeledCounter::new("aqks_test_chain_counter", "site");
-        static H: LabeledHistogram =
-            LabeledHistogram::new("aqks_test_chain_hist", "site", Unit::Bytes);
-        let was = enabled();
-        set_enabled(true);
-        C.add("s1", 2);
-        C.add("s2", 3);
-        C.add("s1", 5);
-        H.observe("s1", 100);
-        let snap = global().snapshot();
-        assert_eq!(
-            snap.find("aqks_test_chain_counter", Some("s1")).map(|m| match m.value {
-                MetricValue::Counter(v) => v,
-                _ => 0,
-            }),
-            Some(7)
-        );
-        assert_eq!(snap.counter_total("aqks_test_chain_counter"), 10);
-        match &snap.find("aqks_test_chain_hist", Some("s1")).expect("registered").value {
+    fn add_and_observe_find_the_series_their_label_names() {
+        let r = Registry::new();
+        r.add("trips", Some(("site", "s1")), 2);
+        r.add("trips", Some(("site", &String::from("s2"))), 3);
+        r.add("trips", Some(("site", "s1")), 5);
+        r.observe("peak", Some(("op", "Scan")), Unit::Bytes, &[100]);
+        let snap = r.snapshot();
+        let s1 = snap.find("trips", Some("s1")).map(|m| match m.value {
+            MetricValue::Counter(v) => v,
+            _ => 0,
+        });
+        assert_eq!(s1, Some(7));
+        assert_eq!(snap.counter_total("trips"), 10);
+        assert_eq!(r.labeled_counter("trips", "site", "s2").get(), 3);
+        match &snap.find("peak", Some("Scan")).expect("registered").value {
             MetricValue::Histogram(h) => assert_eq!(h.count, 1),
             other => panic!("expected histogram, got {other:?}"),
         }
-        set_enabled(was);
+        // Disabled, the calls record nothing and register nothing.
+        r.set_enabled(false);
+        r.add("trips", Some(("site", "s1")), 1);
+        r.add("untouched", None, 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter_total("trips"), 10);
+        assert!(snap.find("untouched", None).is_none());
     }
 
     #[test]
-    fn chain_is_race_free_under_concurrent_inserts() {
-        let counter = LabeledCounter::new("race", "t");
-        let labels: [&'static str; 4] = ["a", "b", "c", "d"];
-        set_enabled(true);
+    fn concurrent_adds_to_new_series_are_exact() {
+        let r = Registry::new();
+        let labels = ["a", "b", "c", "d"];
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
                         for l in labels {
-                            counter.add(l, 1);
+                            r.add("race", Some(("t", l)), 1);
                         }
                     }
                 });
             }
         });
-        let snap = global().snapshot();
+        let snap = r.snapshot();
         for l in labels {
-            assert_eq!(
-                snap.find("race", Some(l)).map(|m| match m.value {
-                    MetricValue::Counter(v) => v,
-                    _ => 0,
-                }),
-                Some(8000),
-                "label {l}"
-            );
+            let v = snap.find("race", Some(l)).map(|m| match m.value {
+                MetricValue::Counter(v) => v,
+                _ => 0,
+            });
+            assert_eq!(v, Some(8000), "label {l}");
         }
     }
 }

@@ -9,7 +9,6 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -28,16 +27,10 @@ pub(crate) struct RawSpan {
     pub(crate) counters: Vec<(Cow<'static, str>, u64)>,
 }
 
-#[derive(Default)]
-struct State {
-    spans: Vec<RawSpan>,
-    counters: BTreeMap<String, u64>,
-}
-
 struct Inner {
     enabled: AtomicBool,
     epoch: Instant,
-    state: Mutex<State>,
+    spans: Mutex<Vec<RawSpan>>,
 }
 
 /// A thread-safe span/counter sink. Clones share the same buffer.
@@ -63,7 +56,7 @@ impl Recorder {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
                 epoch: Instant::now(),
-                state: Mutex::new(State::default()),
+                spans: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -114,33 +107,21 @@ impl Recorder {
         }
         let parent = AMBIENT
             .with(|s| s.borrow().iter().rev().find(|(r, _)| r.same(self)).map(|(_, id)| *id));
-        self.start(name.into(), parent)
-    }
-
-    fn start(&self, name: Cow<'static, str>, parent: Option<u32>) -> Span {
+        let name = name.into();
         let start_ns = self.now_ns();
         let id = {
-            let mut st = self.inner.state.lock().expect("recorder state poisoned");
-            let id = st.spans.len() as u32;
-            st.spans.push(RawSpan { name, parent, start_ns, dur_ns: None, counters: Vec::new() });
+            let mut spans = self.inner.spans.lock().expect("recorder spans poisoned");
+            let id = spans.len() as u32;
+            spans.push(RawSpan { name, parent, start_ns, dur_ns: None, counters: Vec::new() });
             id
         };
         AMBIENT.with(|s| s.borrow_mut().push((self.clone(), id)));
         Span { live: Some((self.clone(), id)) }
     }
 
-    /// Adds `n` to a recorder-level counter (not tied to any span).
-    pub fn add(&self, name: &str, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut st = self.inner.state.lock().expect("recorder state poisoned");
-        *st.counters.entry(name.to_string()).or_default() += n;
-    }
-
     fn add_to_span(&self, id: u32, name: Cow<'static, str>, n: u64) {
-        let mut st = self.inner.state.lock().expect("recorder state poisoned");
-        let Some(raw) = st.spans.get_mut(id as usize) else { return };
+        let mut spans = self.inner.spans.lock().expect("recorder spans poisoned");
+        let Some(raw) = spans.get_mut(id as usize) else { return };
         match raw.counters.iter_mut().find(|(k, _)| *k == name) {
             Some(c) => c.1 += n,
             None => raw.counters.push((name, n)),
@@ -171,9 +152,9 @@ impl Recorder {
         };
         let start_ns =
             start.checked_duration_since(self.inner.epoch).unwrap_or_default().as_nanos() as u64;
-        let mut st = self.inner.state.lock().expect("recorder state poisoned");
-        let id = st.spans.len() as u32;
-        st.spans.push(RawSpan {
+        let mut spans = self.inner.spans.lock().expect("recorder spans poisoned");
+        let id = spans.len() as u32;
+        spans.push(RawSpan {
             name: name.into(),
             parent: parent_id,
             start_ns,
@@ -187,11 +168,8 @@ impl Recorder {
     /// spans have closed; a span still open at `take` time is reported
     /// with zero duration and its late close is ignored.
     pub fn take(&self) -> PipelineTrace {
-        let (spans, counters) = {
-            let mut st = self.inner.state.lock().expect("recorder state poisoned");
-            (std::mem::take(&mut st.spans), std::mem::take(&mut st.counters))
-        };
-        PipelineTrace::build(spans, counters)
+        let spans = std::mem::take(&mut *self.inner.spans.lock().expect("recorder spans poisoned"));
+        PipelineTrace::build(spans)
     }
 }
 
@@ -209,11 +187,6 @@ impl Span {
             rec.add_to_span(*id, name.into(), n);
         }
     }
-
-    /// A `Send` handle for parenting work on another thread.
-    pub fn handle(&self) -> SpanHandle {
-        SpanHandle { live: self.live.clone() }
-    }
 }
 
 impl Drop for Span {
@@ -228,8 +201,8 @@ impl Drop for Span {
                 st.remove(pos);
             }
         });
-        let mut st = rec.inner.state.lock().expect("recorder state poisoned");
-        if let Some(raw) = st.spans.get_mut(id as usize) {
+        let mut spans = rec.inner.spans.lock().expect("recorder spans poisoned");
+        if let Some(raw) = spans.get_mut(id as usize) {
             if raw.dur_ns.is_none() {
                 raw.dur_ns = Some(end_ns.saturating_sub(raw.start_ns));
             }
@@ -237,23 +210,11 @@ impl Drop for Span {
     }
 }
 
-/// A `Send + Sync` reference to a recorded span, for cross-thread
-/// handoff and for parenting externally-timed spans.
+/// A reference to a span grafted by [`Recorder::record_span`], usable
+/// as the parent of further completed spans.
 #[derive(Debug, Clone)]
 pub struct SpanHandle {
     live: Option<(Recorder, u32)>,
-}
-
-impl SpanHandle {
-    /// Opens a child span of the referenced span on the *current*
-    /// thread (pushing it onto this thread's ambient stack) — the
-    /// cross-thread handoff entry point.
-    pub fn child(&self, name: impl Into<Cow<'static, str>>) -> Span {
-        match &self.live {
-            Some((rec, id)) if rec.is_enabled() => rec.start(name.into(), Some(*id)),
-            _ => Span { live: None },
-        }
-    }
 }
 
 /// Adds `n` to a counter on the innermost ambient span of the current
@@ -318,28 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_handoff_parents_correctly() {
-        let rec = Recorder::enabled();
-        {
-            let root = rec.span("root");
-            let h = root.handle();
-            let worker = std::thread::spawn(move || {
-                let child = h.child("worker");
-                child.add("worked", 1);
-                // Ambient nesting works on the worker thread too.
-                let _inner = crate::current().unwrap().span("inner");
-            });
-            worker.join().unwrap();
-        }
-        let t = rec.take();
-        let root = &t.roots[0];
-        assert_eq!(root.children.len(), 1);
-        assert_eq!(root.children[0].name, "worker");
-        assert_eq!(root.children[0].children[0].name, "inner");
-        assert_eq!(t.counters.get("worked"), Some(&1));
-    }
-
-    #[test]
     fn counters_merge_within_a_span() {
         let rec = Recorder::enabled();
         {
@@ -347,10 +286,8 @@ mod tests {
             s.add("n", 1);
             s.add("n", 4);
         }
-        rec.add("global", 7);
         let t = rec.take();
         assert_eq!(t.roots[0].counters, vec![("n".to_string(), 5)]);
-        assert_eq!(t.counters.get("global"), Some(&7));
         assert_eq!(t.counters.get("n"), Some(&5));
     }
 
@@ -361,7 +298,6 @@ mod tests {
             let s = rec.span("s");
             s.add("n", 1);
             counter("ambient", 1);
-            rec.add("global", 1);
         }
         let t = rec.take();
         assert!(t.is_empty());

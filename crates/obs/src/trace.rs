@@ -39,7 +39,9 @@ impl SpanNode {
         self.counters.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
-    fn visit<'a>(&'a self, f: &mut impl FnMut(&'a SpanNode)) {
+    /// Calls `f` on this span and then on every descendant, depth-first
+    /// in child order.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a SpanNode)) {
         f(self);
         for c in &self.children {
             c.visit(f);
@@ -47,19 +49,19 @@ impl SpanNode {
     }
 }
 
-/// A finished trace: the span forest plus a metrics snapshot aggregating
-/// every span-attached and recorder-level counter.
+/// A finished trace: the span forest plus every span counter summed
+/// by name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineTrace {
     /// Top-level spans (usually exactly one per traced call).
     pub roots: Vec<SpanNode>,
-    /// All counters, summed across spans and merged with recorder-level
-    /// counters, name-sorted.
+    /// All span counters, summed across spans, name-sorted.
     pub counters: BTreeMap<String, u64>,
 }
 
 impl PipelineTrace {
-    pub(crate) fn build(raw: Vec<RawSpan>, mut counters: BTreeMap<String, u64>) -> PipelineTrace {
+    pub(crate) fn build(raw: Vec<RawSpan>) -> PipelineTrace {
+        let mut counters = BTreeMap::new();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); raw.len()];
         let mut root_ids = Vec::new();
         for (i, s) in raw.iter().enumerate() {

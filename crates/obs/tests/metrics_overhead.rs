@@ -3,15 +3,16 @@
 //!
 //! * **disabled path**: a handle bump with the registry disabled is an
 //!   early return — zero allocations;
-//! * **enabled steady state**: once a handle's cell and labels are
-//!   registered (first use), recording is pure atomics — also zero
+//! * **enabled steady state**: once a handle's cell is registered
+//!   (first use), recording is pure atomics, and a labeled series is
+//!   found by a hash lookup on borrowed strings — also zero
 //!   allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use aqks_obs::metrics::{self, Counter, Gauge, Histogram, LabeledCounter, LabeledHistogram, Unit};
+use aqks_obs::metrics::{self, Counter, Gauge, Histogram, Unit};
 
 struct CountingAlloc;
 
@@ -44,16 +45,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static QUERIES: Counter = Counter::new("probe_queries");
 static RETAINED: Gauge = Gauge::new("probe_retained");
 static LATENCY: Histogram = Histogram::new("probe_latency_ns", Unit::Nanos);
-static TRIPS: LabeledCounter = LabeledCounter::new("probe_trips", "site");
-static PEAK: LabeledHistogram = LabeledHistogram::new("probe_peak_bytes", "op", Unit::Bytes);
 
 fn exercise_handles(i: u64) {
     QUERIES.add(1);
     RETAINED.set(3);
     LATENCY.observe(i * 17);
-    TRIPS.add("ops.Scan", 1);
-    TRIPS.add("engine.answer", 1);
-    PEAK.observe("HashJoin", i * 4096);
+    let registry = metrics::global();
+    registry.add("probe_trips", Some(("site", "ops.Scan")), 1);
+    registry.add("probe_trips", Some(("site", "engine.answer")), 1);
+    registry.observe("probe_peak_bytes", Some(("op", "HashJoin")), Unit::Bytes, &[i * 4096]);
 }
 
 #[test]

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use aqks_core::{AnswerRequest, CoreError, Engine};
 use aqks_guard::Budget;
-use aqks_obs::metrics::{Counter, Gauge, Histogram, LabeledCounter, Unit};
+use aqks_obs::metrics::{Counter, Gauge, Histogram, Unit};
 
 use crate::protocol::{
     parse_frame, Answer, ClientFrame, ErrorCode, Request, Response, WireError, WireInterp,
@@ -48,10 +48,6 @@ static M_ACCEPTED: Counter = Counter::new("aqks_server_accepted");
 static M_CONNS: Gauge = Gauge::new("aqks_server_connections");
 /// Query frames admitted to the queue.
 static M_REQUESTS: Counter = Counter::new("aqks_server_requests");
-/// Requests shed by admission control, labeled by reason.
-static M_SHED: LabeledCounter = LabeledCounter::new("aqks_server_shed", "reason");
-/// Error frames sent, labeled by taxonomy code.
-static M_ERRORS: LabeledCounter = LabeledCounter::new("aqks_server_errors", "code");
 /// Answers that degraded under their budget.
 static M_DEGRADED: Counter = Counter::new("aqks_server_degraded");
 /// Admission-queue depth sampled at enqueue.
@@ -60,6 +56,16 @@ static M_QUEUE_DEPTH: Gauge = Gauge::new("aqks_server_queue_depth");
 static M_QUEUE_WAIT_NS: Histogram = Histogram::new("aqks_server_queue_wait_ns", Unit::Nanos);
 /// Worker execution time per request.
 static M_EXEC_NS: Histogram = Histogram::new("aqks_server_exec_ns", Unit::Nanos);
+
+/// Counts an error frame sent, labeled by taxonomy code.
+fn count_error(code: ErrorCode) {
+    aqks_obs::metrics::global().add("aqks_server_errors", Some(("code", code.name())), 1);
+}
+
+/// Counts a request shed by admission control, labeled by reason.
+fn count_shed(reason: &str) {
+    aqks_obs::metrics::global().add("aqks_server_shed", Some(("reason", reason)), 1);
+}
 
 /// Server policy: listener address, pool sizing, admission control,
 /// deadline clamps, and connection-lifecycle hardening knobs.
@@ -356,7 +362,7 @@ fn refuse(stream: TcpStream, code: ErrorCode, msg: impl Into<String>, shared: &S
     let _ = writeln!(w, "{}", WireError::new(code, msg).render());
     let _ = w.flush();
     shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-    M_ERRORS.add(code.name(), 1);
+    count_error(code);
 }
 
 /// Outcome of reading one frame line off the socket.
@@ -523,7 +529,7 @@ fn send_error(
     err: &WireError,
 ) -> std::io::Result<()> {
     shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-    M_ERRORS.add(err.code.name(), 1);
+    count_error(err.code);
     write_line(w, &err.render())
 }
 
@@ -545,7 +551,7 @@ fn admit_and_wait(request: Request, shared: &Shared) -> Response {
         let mut queue = lock(&shared.queue);
         if queue.len() >= shared.cfg.queue_depth {
             shared.stats.shed_depth.fetch_add(1, Ordering::Relaxed);
-            M_SHED.add("depth", 1);
+            count_shed("depth");
             return Response::Err(WireError::new(
                 ErrorCode::Overloaded,
                 format!("admission queue full (depth {})", shared.cfg.queue_depth),
@@ -594,7 +600,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         M_QUEUE_WAIT_NS.observe(waited.as_nanos() as u64);
         let response = if waited > shared.cfg.max_queue_wait {
             shared.stats.shed_age.fetch_add(1, Ordering::Relaxed);
-            M_SHED.add("age", 1);
+            count_shed("age");
             Response::Err(WireError::new(
                 ErrorCode::Overloaded,
                 format!("request aged out in queue ({} ms)", waited.as_millis()),

@@ -52,7 +52,6 @@
 //! When the statement has no ORDER BY, output rows are stably sorted by
 //! value so results are reproducible across runs and across plans.
 
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -1877,8 +1876,6 @@ struct BuildCx<'a> {
     /// The request's shares and this plan's sites of them (node id →
     /// share slot).
     shares: Option<(&'a Shares, &'a HashMap<usize, usize>)>,
-    /// Share sites that replayed.
-    replays: Cell<u64>,
     opts: ExecOptions,
     captured: Captured<'a>,
 }
@@ -1890,19 +1887,18 @@ fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecEr
     let share = cx.shares.and_then(|(shares, sites)| Some((shares, *sites.get(&node.id)?)));
     let keep = if let Some((shares, k)) = share {
         if let Some(entry) = shares.get(k) {
-            SHARE_HITS.add(1);
-            cx.replays.set(cx.replays.get() + 1);
+            aqks_obs::counter("exec.share_replays", 1);
             return Ok(replay(node, CachedRows::replaying(entry, node, cx, true), cx));
         }
-        SHARE_MISSES.add(1);
+        aqks_obs::counter("exec.share_misses", 1);
         Some(Keep::Share(k))
     } else if let Some(site) = memo_site(node, cx.shared) {
         let hit = cx.db.memoized_projection(site.relation, site.cols);
         if let Some(entry) = hit.and_then(|v| v.downcast::<MemoEntry>().ok()) {
-            MEMO_HITS.add(1);
+            aqks_obs::counter("exec.memo_hits", 1);
             return Ok(replay(node, CachedRows::replaying(entry, node, cx, false), cx));
         }
-        MEMO_MISSES.add(1);
+        aqks_obs::counter("exec.memo_misses", 1);
         Some(Keep::Memo(site))
     } else {
         None
@@ -2124,7 +2120,6 @@ fn run<'a>(
         governed: aqks_guard::current().is_some(),
         shared,
         shares,
-        replays: Cell::new(0),
         opts,
         captured: Captured::default(),
     };
@@ -2148,7 +2143,6 @@ fn run<'a>(
                 let rows: u64 = entry.batches.iter().map(|b| b.len() as u64).sum();
                 let cells = rows * site.cols.len() as u64;
                 db.memoize_projection(site.relation, site.cols, Arc::new(entry), cells);
-                MEMO_CELLS.set(db.memo_cells() as i64);
             }
             Keep::Share(k) => {
                 let ops = par::relock(&cx.stats);
@@ -2159,9 +2153,6 @@ fn run<'a>(
                 }
             }
         }
-    }
-    if cx.replays.get() > 0 {
-        aqks_obs::counter("exec.share_replays", cx.replays.get());
     }
     let mut ops = Arc::try_unwrap(cx.stats)
         .map(|m| m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
@@ -2179,41 +2170,13 @@ fn run<'a>(
     }
     // When an observability recorder is active on this thread (the
     // engine's `exec` span), graft the per-operator metrics into its
-    // span tree so operator costs and pipeline phases land in one trace.
+    // span tree so operator costs and pipeline phases land in one trace
+    // (the engine folds that trace into the always-on metrics).
     if let Some(rec) = aqks_obs::current() {
         record_op_spans(&rec, plan, &ops, t0, None);
     }
-    // Always-on cumulative telemetry: per-operator-kind rows/batches
-    // counters and wall/peak-bytes histograms in the global registry.
-    if aqks_obs::metrics::enabled() {
-        plan.visit(&mut |node| {
-            let m = &ops[node.id];
-            let name = op_name(&node.op);
-            OP_ROWS.add(name, m.rows_out);
-            OP_BATCHES.add(name, m.batches);
-            OP_WALL_NS.observe(name, m.wall.as_nanos() as u64);
-            OP_PEAK_BYTES.observe(name, m.peak_bytes);
-        });
-    }
     Ok((batches, ExecStats { ops, wall: t0.elapsed() }))
 }
-
-/// Cumulative per-operator-kind metrics, labeled by [`op_name`].
-static OP_ROWS: aqks_obs::LabeledCounter = aqks_obs::LabeledCounter::new("aqks_ops_rows", "op");
-static OP_BATCHES: aqks_obs::LabeledCounter =
-    aqks_obs::LabeledCounter::new("aqks_ops_batches", "op");
-static OP_WALL_NS: aqks_obs::LabeledHistogram =
-    aqks_obs::LabeledHistogram::new("aqks_ops_wall_ns", "op", aqks_obs::Unit::Nanos);
-static OP_PEAK_BYTES: aqks_obs::LabeledHistogram =
-    aqks_obs::LabeledHistogram::new("aqks_ops_peak_bytes", "op", aqks_obs::Unit::Bytes);
-/// Memo sites replayed from, and computed for, the database's memo.
-static MEMO_HITS: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_memo_hits");
-static MEMO_MISSES: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_memo_misses");
-/// Cells held by the memo of the database a run last filled.
-static MEMO_CELLS: aqks_obs::Gauge = aqks_obs::Gauge::new("aqks_exec_memo_cells");
-/// Request share sites replayed from, and computed for, [`Shares`].
-static SHARE_HITS: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_share_hits");
-static SHARE_MISSES: aqks_obs::Counter = aqks_obs::Counter::new("aqks_exec_share_misses");
 
 /// Short operator name for trace spans (the EXPLAIN label minus its
 /// plan-specific detail, so span names are stable across queries).
@@ -2248,8 +2211,12 @@ fn record_op_spans(
     parent: Option<&aqks_obs::SpanHandle>,
 ) {
     let m = &ops[node.id];
-    let mut counters =
-        vec![("rows_in", m.rows_in), ("rows_out", m.rows_out), ("batches", m.batches)];
+    let mut counters = vec![
+        ("rows_in", m.rows_in),
+        ("rows_out", m.rows_out),
+        ("batches", m.batches),
+        ("peak_bytes", m.peak_bytes),
+    ];
     if m.threads > 1 {
         counters.push(("threads", u64::from(m.threads)));
     }

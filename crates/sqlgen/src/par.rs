@@ -14,28 +14,19 @@
 //! stays on the calling thread at the pre-existing charge sites, which
 //! keeps budget accounting byte-identical across thread counts.
 //!
-//! Observability: when a recorder is installed and the parallel path is
-//! actually taken, a `par:<site>` span wraps the pool and each worker
-//! records a `worker` child span with its completed-task count, using
-//! the cross-thread `SpanHandle` API. Always-on metrics mirror the same
-//! numbers into the global registry: each worker accumulates its task
-//! count locally and merges it with a single atomic add at scope exit,
-//! so totals are exact regardless of scheduling or thread count.
+//! Observability: a pool opens no span of its own, because its wall
+//! time is already inside its operator's `op:` span. Each worker
+//! tallies its completed tasks locally and merges the tally into one
+//! atomic at exit, so the total is exact whatever the scheduling. Back
+//! on the calling thread, a pool that took the parallel path adds
+//! `par.pools` (1) and `par.tasks.{site}` (the total, when non-zero) to
+//! the ambient span — the engine's `exec` span — where the engine's
+//! metrics fold reads them.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use aqks_obs::metrics::{Counter, LabeledCounter};
-
 use crate::exec::ExecError;
-
-/// Completed parallel tasks, labeled by call site. Each worker adds its
-/// local tally exactly once when it exits, so the per-site total equals
-/// the task count of every pool run at that site.
-static PAR_TASKS: LabeledCounter = LabeledCounter::new("aqks_par_tasks", "site");
-
-/// Worker-pool launches that actually took the parallel path.
-static PAR_POOLS: Counter = Counter::new("aqks_par_pools");
 
 /// Inputs smaller than this run on one worker even when more threads
 /// are available — below it, pool overhead exceeds the win.
@@ -95,7 +86,8 @@ where
     let gov = aqks_guard::current();
     let workers = threads.min(n).max(1);
     if workers <= 1 {
-        // Inline path: no pool, no spans — the one-worker executor.
+        // Inline path: no pool, no `par.*` counters — the one-worker
+        // executor.
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             if let Some(g) = &gov {
@@ -106,21 +98,15 @@ where
         return Ok(out);
     }
 
-    let span = aqks_obs::current().map(|rec| rec.span(format!("par:{site}")));
-    let handle = span.as_ref().map(|s| s.handle());
-    if aqks_obs::metrics::enabled() {
-        PAR_POOLS.add(1);
-    }
-
     let cursor = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
+    let tasks = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<Result<T, ExecError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let wspan = handle.as_ref().map(|h| h.child("worker"));
                 let mut done = 0u64;
                 loop {
                     if failed.load(Ordering::Relaxed) {
@@ -144,21 +130,20 @@ where
                     }
                     done += 1;
                 }
-                if let Some(s) = &wspan {
-                    s.add("par.tasks", done);
-                }
-                // One merge per worker lifetime: the handoff to the
-                // shared registry happens here, not per task, so the
+                // One merge per worker lifetime, not per task, so the
                 // hot loop stays free of shared-cacheline traffic.
-                if done > 0 && aqks_obs::metrics::enabled() {
-                    PAR_TASKS.add(site, done);
-                }
+                tasks.fetch_add(done, Ordering::Relaxed);
             });
         }
     });
 
-    if let Some(s) = &span {
-        s.add("par.workers", workers as u64);
+    // The counter name is built only when a span will receive it.
+    if aqks_obs::current().is_some() {
+        aqks_obs::counter("par.pools", 1);
+        let tasks = tasks.into_inner();
+        if tasks > 0 {
+            aqks_obs::counter(format!("par.tasks.{site}"), tasks);
+        }
     }
 
     let results: Vec<Option<Result<T, ExecError>>> =
@@ -189,8 +174,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::Condvar;
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -213,46 +199,70 @@ mod tests {
         assert_eq!(out, Err(ExecError::Unsupported("task 7".into())));
     }
 
+    /// Raised when the worker thread that ran the failing task exits,
+    /// which is after it set the pool's failed flag.
+    static FAILED_WORKER_EXITED: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+    struct OnExit;
+
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            *relock(&FAILED_WORKER_EXITED.0) = true;
+            FAILED_WORKER_EXITED.1.notify_all();
+        }
+    }
+
+    thread_local! {
+        static EXIT_SIGNAL: RefCell<Option<OnExit>> = const { RefCell::new(None) };
+    }
+
     #[test]
     fn failure_stops_the_pool_early() {
+        // Every task but task 0 waits until task 0's worker has failed
+        // and exited, so each other worker holds at most one started
+        // task when it next checks the failed flag, whatever the
+        // scheduling.
         let started = AtomicU64::new(0);
-        let _ = run_tasks::<(), _>(4, 10_000, "test.par", |i| {
+        let res = run_tasks::<(), _>(4, 10_000, "test.par", |i| {
             started.fetch_add(1, Ordering::Relaxed);
             if i == 0 {
-                Err(ExecError::Unsupported("boom".into()))
-            } else {
-                Ok(())
+                EXIT_SIGNAL.with(|s| *s.borrow_mut() = Some(OnExit));
+                return Err(ExecError::Unsupported("boom".into()));
             }
+            let (lock, cv) = &FAILED_WORKER_EXITED;
+            let mut exited = relock(lock);
+            while !*exited {
+                exited = cv.wait(exited).unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+            Ok(())
         });
-        // Not all 10k tasks ran: the failed flag short-circuits workers.
-        assert!(started.load(Ordering::Relaxed) < 10_000);
+        assert_eq!(res, Err(ExecError::Unsupported("boom".into())));
+        // Task 0 plus one held task per other worker: the failed flag
+        // stopped every worker before it took another.
+        assert!(started.load(Ordering::Relaxed) <= 4, "{started:?} tasks started");
     }
 
     #[test]
     fn worker_task_counters_merge_exactly_across_threads() {
-        // A unique site label partitions this test's registry deltas
-        // from concurrent tests, so the comparison can be exact.
-        aqks_obs::metrics::set_enabled(true);
-        let delta = |snap: &aqks_obs::metrics::Snapshot| {
-            snap.find("aqks_par_tasks", Some("test.par.merge"))
-                .map(|m| match &m.value {
-                    aqks_obs::metrics::MetricValue::Counter(v) => *v,
-                    _ => panic!("aqks_par_tasks is a counter"),
+        let rec = aqks_obs::Recorder::enabled();
+        {
+            let _exec = rec.span("exec");
+            for _ in 0..4 {
+                run_tasks(8, 1_000, "test.par.merge", |i| {
+                    std::hint::black_box(i);
+                    Ok(())
                 })
-                .unwrap_or(0)
-        };
-        let before = delta(&aqks_obs::metrics::global().snapshot());
-        for _ in 0..4 {
-            run_tasks(8, 1_000, "test.par.merge", |i| {
-                std::hint::black_box(i);
-                Ok(())
-            })
-            .unwrap();
+                .unwrap();
+            }
         }
-        let after = delta(&aqks_obs::metrics::global().snapshot());
+        let trace = rec.take();
+        let exec = &trace.roots[0];
         // Every task is counted exactly once, no matter which worker
-        // ran it or how the morsels interleaved.
-        assert_eq!(after - before, 4_000);
+        // ran it or how the morsels interleaved, on the calling
+        // thread's span; the pools open no spans of their own.
+        assert_eq!(exec.counter("par.tasks.test.par.merge"), Some(4_000));
+        assert_eq!(exec.counter("par.pools"), Some(4));
+        assert!(exec.children.is_empty(), "{exec:?}");
     }
 
     #[test]
