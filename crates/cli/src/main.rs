@@ -83,6 +83,13 @@
 //! errors) and prints the interpretations; a budget-degraded answer
 //! exits with code 3 like a local exhausted query.
 //!
+//! Subcommand `aqks repro table5|table6|table8|table9|fig11|all
+//! [--paper-scale] [--reps N]` (the first argument) regenerates the
+//! paper's answer tables and Figure 11 with `aqks-eval`; one target,
+//! `all` when none is given. Anything else on its command line — an
+//! unknown flag or target, a second target, or `--reps` without a
+//! positive whole number — exits 2 with a message.
+//!
 //! REPL commands: `\schema` (relations), `\graph` (ORM graph), `\q`.
 
 use std::io::{BufRead, Write};
@@ -93,6 +100,7 @@ use aqks_datasets::{
     denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch, university, AcmdlConfig,
     TpchConfig,
 };
+use aqks_eval::{fig11, tables, Scale};
 use aqks_obs::PipelineTrace;
 use aqks_relational::Database;
 use aqks_sqak::Sqak;
@@ -217,7 +225,7 @@ macro_rules! outln {
     };
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         dataset: "university".into(),
         paper_scale: false,
@@ -254,7 +262,6 @@ fn parse_args() -> Result<Options, String> {
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| format!("{flag} needs a non-negative number"))
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let mut positional: Vec<String> = Vec::new();
     while i < args.len() {
@@ -291,23 +298,23 @@ fn parse_args() -> Result<Options, String> {
             }
             "--timeout-ms" => {
                 i += 1;
-                opts.timeout_ms = Some(num(&args, i, "--timeout-ms")?);
+                opts.timeout_ms = Some(num(args, i, "--timeout-ms")?);
             }
             "--max-rows" => {
                 i += 1;
-                opts.max_rows = Some(num(&args, i, "--max-rows")?);
+                opts.max_rows = Some(num(args, i, "--max-rows")?);
             }
             "--max-patterns" => {
                 i += 1;
-                opts.max_patterns = Some(num(&args, i, "--max-patterns")?);
+                opts.max_patterns = Some(num(args, i, "--max-patterns")?);
             }
             "--max-interpretations" => {
                 i += 1;
-                opts.max_interpretations = Some(num(&args, i, "--max-interpretations")?);
+                opts.max_interpretations = Some(num(args, i, "--max-interpretations")?);
             }
             "--threads" => {
                 i += 1;
-                opts.threads = (num(&args, i, "--threads")? as usize).max(1);
+                opts.threads = (num(args, i, "--threads")? as usize).max(1);
             }
             "--addr" => {
                 i += 1;
@@ -315,14 +322,14 @@ fn parse_args() -> Result<Options, String> {
             }
             "--workers" => {
                 i += 1;
-                opts.workers = (num(&args, i, "--workers")? as usize).max(1);
+                opts.workers = (num(args, i, "--workers")? as usize).max(1);
             }
             "--queue-depth" => {
                 i += 1;
-                opts.queue_depth = num(&args, i, "--queue-depth")? as usize;
+                opts.queue_depth = num(args, i, "--queue-depth")? as usize;
             }
             "--help" | "-h" => {
-                outln!("usage: aqks [check|explain|trace|metrics|serve|client] [--dataset NAME|DIR] [--paper-scale] [--k N] [--sqak] [--explain] [--analyze] [--plans] [--equiv] [--shared] [--slow] [--prom|--json] [--trace[=text|json|chrome]] [--trace-out FILE] [--export DIR] [--timeout-ms N] [--max-rows N] [--max-patterns N] [--max-interpretations N] [--threads N] [--addr HOST:PORT] [--workers N] [--queue-depth N] [QUERY]");
+                outln!("usage: aqks [check|explain|trace|metrics|serve|client|repro] [--dataset NAME|DIR] [--paper-scale] [--k N] [--sqak] [--explain] [--analyze] [--plans] [--equiv] [--shared] [--slow] [--prom|--json] [--trace[=text|json|chrome]] [--trace-out FILE] [--export DIR] [--timeout-ms N] [--max-rows N] [--max-patterns N] [--max-interpretations N] [--threads N] [--addr HOST:PORT] [--workers N] [--queue-depth N] [QUERY]");
                 std::process::exit(0);
             }
             "check" if positional.is_empty() && !opts.subcommand() => opts.check = true,
@@ -340,6 +347,92 @@ fn parse_args() -> Result<Options, String> {
         opts.query = Some(positional.join(" "));
     }
     Ok(opts)
+}
+
+/// Printed after an `aqks repro` command-line error.
+const REPRO_USAGE: &str =
+    "usage: aqks repro table5|table6|table8|table9|fig11|all [--paper-scale] [--reps N]";
+
+/// `aqks repro`'s command line: one target, the dataset scale and the
+/// Figure 11 repetitions.
+struct ReproArgs {
+    target: String,
+    scale: Scale,
+    reps: usize,
+}
+
+fn parse_repro_args(args: &[String]) -> Result<ReproArgs, String> {
+    const TARGETS: [&str; 6] = ["table5", "table6", "table8", "table9", "fig11", "all"];
+    let mut parsed = ReproArgs { target: String::new(), scale: Scale::Small, reps: 21 };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--paper-scale" => parsed.scale = Scale::Paper,
+            "--reps" => {
+                parsed.reps = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n: &usize| n > 0)
+                    .ok_or("`--reps` takes a positive whole number")?;
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            target if !TARGETS.contains(&target) => {
+                return Err(format!("unknown target `{target}`"))
+            }
+            target if !parsed.target.is_empty() => {
+                return Err(format!("one target at a time: `{}` and `{target}`", parsed.target))
+            }
+            target => parsed.target = target.to_string(),
+        }
+    }
+    if parsed.target.is_empty() {
+        parsed.target = "all".to_string();
+    }
+    Ok(parsed)
+}
+
+/// `aqks repro`: prints the requested paper tables and figure.
+fn run_repro(args: &[String]) {
+    let ReproArgs { target, scale, reps } = parse_repro_args(args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{REPRO_USAGE}");
+        std::process::exit(2);
+    });
+    let scale_name = match scale {
+        Scale::Small => "small",
+        Scale::Paper => "paper-scale",
+    };
+    eprintln!("# dataset scale: {scale_name}");
+    let run_target = |name: &str| {
+        let (title, rows) = match name {
+            "table5" => ("Table 5: answers on normalized TPC-H (T1-T8)", tables::run_table5(scale)),
+            "table6" => ("Table 6: answers on normalized ACMDL (A1-A8)", tables::run_table6(scale)),
+            "table8" => {
+                ("Table 8: answers on unnormalized TPCH' (T1-T8)", tables::run_table8(scale))
+            }
+            "table9" => {
+                ("Table 9: answers on unnormalized ACMDL' (A1-A8)", tables::run_table9(scale))
+            }
+            "fig11" => {
+                let (tpch, acmdl) = fig11::run_fig11(scale, reps);
+                for (title, rows) in [
+                    ("Figure 11(a): SQL generation time, TPCH", tpch),
+                    ("Figure 11(b): SQL generation time, ACMDL", acmdl),
+                ] {
+                    outln!("{}", fig11::render_markdown(title, &rows));
+                }
+                return;
+            }
+            other => unreachable!("target `{other}` passed argument parsing"),
+        };
+        outln!("{}", tables::render_markdown(title, &rows));
+    };
+    if target == "all" {
+        for t in ["table5", "table6", "table8", "table9", "fig11"] {
+            run_target(t);
+        }
+    } else {
+        run_target(&target);
+    }
 }
 
 fn load_dataset(name: &str, paper_scale: bool) -> Result<Database, String> {
@@ -991,7 +1084,12 @@ fn main() {
         };
         eprintln!("error: internal panic: {msg}");
     }));
-    let opts = match parse_args() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "repro") {
+        run_repro(&args[1..]);
+        return;
+    }
+    let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");

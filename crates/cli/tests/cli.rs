@@ -415,3 +415,58 @@ fn closed_stdout_exits_141_without_a_panic() {
     assert_eq!(out.status.code(), Some(141), "{stderr}");
     assert!(!stderr.contains("panic"), "{stderr}");
 }
+
+/// `aqks repro`'s exit code and stderr for `args`.
+fn repro(args: &[&str]) -> (Option<i32>, String) {
+    let out = aqks().arg("repro").args(args).output().expect("aqks repro runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn repro_non_numeric_reps_exits_2() {
+    let (code, stderr) = repro(&["table5", "--reps", "abc"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--reps"), "{stderr}");
+}
+
+#[test]
+fn repro_trailing_reps_without_a_value_exits_2() {
+    let (code, stderr) = repro(&["table5", "--reps"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--reps"), "{stderr}");
+}
+
+#[test]
+fn repro_second_target_exits_2() {
+    let (code, stderr) = repro(&["table5", "fig11"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("fig11"), "{stderr}");
+}
+
+/// `repro`'s only targets are the paper's tables and figure; the
+/// analysis, plan and fault sweeps are workspace tests.
+#[test]
+fn repro_check_sweeps_are_not_targets() {
+    for target in ["plans", "faults"] {
+        let (code, stderr) = repro(&[target]);
+        assert_eq!(code, Some(2), "{target}: {stderr}");
+        assert!(stderr.contains(&format!("unknown target `{target}`")), "{stderr}");
+    }
+}
+
+/// `aqks repro` writes its tables through the same closed-stdout path
+/// as every other subcommand.
+#[test]
+fn repro_closed_stdout_exits_141_without_a_panic() {
+    let mut child = aqks()
+        .args(["repro", "table5"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+    assert!(!stderr.contains("panic"), "{stderr}");
+}

@@ -41,10 +41,6 @@ static ANSWER_NS: Histogram = Histogram::new("aqks_engine_answer_ns", Unit::Nano
 /// Total result rows per answered query, summed over interpretations.
 static RESULT_ROWS: Histogram = Histogram::new("aqks_engine_result_rows", Unit::Count);
 
-/// Entries currently held by the global flight recorder (ring +
-/// out-of-ring exemplars).
-static FLIGHT_RETAINED: Gauge = Gauge::new("aqks_flight_retained");
-
 /// Cells held by the projection memo of the database a metered run last
 /// filled.
 static MEMO_CELLS: Gauge = Gauge::new("aqks_exec_memo_cells");
@@ -188,36 +184,13 @@ struct FrontEnd {
     ranked: Vec<QueryPattern>,
 }
 
-/// Per-thread trace recorders. Every OS thread calling into a shared
-/// engine gets its own lazily-created [`Recorder`], so concurrent
-/// `answer` calls — the query server runs many workers over one
-/// `Arc<Engine>` — never steal each other's spans, traces, or always-on
-/// observations. Entries are created on first use and live for the
-/// engine's lifetime; worker pools are fixed-size, so the map stays
-/// small and the per-call cost is one short-held lock.
-struct ThreadRecorders {
-    map: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, Recorder>>,
-}
-
-impl ThreadRecorders {
-    fn new() -> ThreadRecorders {
-        ThreadRecorders { map: std::sync::Mutex::new(std::collections::HashMap::new()) }
-    }
-
-    /// The calling thread's recorder (created disabled on first use).
-    fn get(&self) -> Recorder {
-        let id = std::thread::current().id();
-        let mut map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(id).or_insert_with(Recorder::disabled).clone()
-    }
-}
-
 /// The semantic keyword-search engine.
 ///
-/// `Engine` is `Send + Sync`: after construction every field is either
-/// immutable (schema, ORM graph, inverted index) or behind a lock (the
-/// per-thread recorder map), so one engine can be shared across a
-/// worker pool via `Arc` — the query server does exactly that.
+/// `Engine` is `Send + Sync`: after construction every field is
+/// immutable (schema, ORM graph, inverted index), and each call's
+/// telemetry lives in a recorder of its own, so one engine can be
+/// shared across a worker pool via `Arc` — the query server does
+/// exactly that.
 pub struct Engine {
     db: Database,
     original_schema: DatabaseSchema,
@@ -228,9 +201,6 @@ pub struct Engine {
     options: EngineOptions,
     /// Worker threads for parallel plan execution (1 = sequential).
     threads: usize,
-    /// Per-thread pipeline tracing sinks; disabled by default, so every
-    /// span below costs one atomic load until someone asks for a trace.
-    recorders: ThreadRecorders,
 }
 
 /// Compile-time proof that a shared engine can cross a worker-pool
@@ -268,7 +238,6 @@ impl Engine {
                 view: None,
                 options,
                 threads: 1,
-                recorders: ThreadRecorders::new(),
             })
         } else {
             let view = NormalizedView::build(&schema);
@@ -284,7 +253,6 @@ impl Engine {
                 view: Some(view),
                 options,
                 threads: 1,
-                recorders: ThreadRecorders::new(),
             })
         }
     }
@@ -321,21 +289,13 @@ impl Engine {
         &self.db
     }
 
-    /// The calling thread's trace recorder for this engine. Disabled
-    /// (and effectively free) except inside a [`Engine::run`] call that
-    /// traces or meters; recorders are per thread, so concurrent callers
-    /// on a shared engine observe independently.
-    fn recorder(&self) -> Recorder {
-        self.recorders.get()
-    }
-
     /// Parses, matches, generates, ranks, and translates — everything but
     /// execution. This is the work Figure 11 measures.
     ///
     /// Library panics are caught at this boundary and surface as
     /// [`CoreError::Internal`].
     pub fn generate(&self, query: &str, k: usize) -> Result<Vec<GeneratedSql>, CoreError> {
-        shielded(|| self.generate_inner(&self.recorder(), query, k))
+        shielded(|| self.generate_inner(&Recorder::disabled(), query, k))
     }
 
     /// [`Engine::generate`] with each interpretation lowered to its
@@ -476,33 +436,28 @@ impl Engine {
     /// tripped. Only genuine errors surface as `Err`; library panics are
     /// caught and surface as [`CoreError::Internal`].
     ///
-    /// The recorder is enabled only when the request traces or metrics
-    /// are globally enabled. The one trace it collects feeds the
-    /// always-on metrics and the flight recorder when metrics are
-    /// enabled, and is returned in [`Answered::trace`] when requested.
+    /// Each call records into a recorder of its own, enabled only when
+    /// the request traces or metrics are globally enabled, so concurrent
+    /// callers on a shared engine never see each other's spans. The one
+    /// trace it collects feeds the always-on metrics and the flight
+    /// recorder when metrics are enabled, and is returned in
+    /// [`Answered::trace`] when requested.
     pub fn run(&self, query: &str, req: &AnswerRequest) -> Result<Answered, CoreError> {
-        let rec = self.recorder();
         let metered = aqks_obs::metrics::enabled();
-        let t0 = (req.trace || metered).then(|| {
-            rec.enable();
-            let _ = rec.take(); // discard stale spans
-            Instant::now()
-        });
+        if !(req.trace || metered) {
+            return self.governed(&Recorder::disabled(), query, req);
+        }
+        let rec = Recorder::enabled();
+        let t0 = Instant::now();
         let result = {
             let _root = rec.span("answer");
             self.governed(&rec, query, req)
         };
-        let Some(t0) = t0 else { return result };
         let trace = rec.take();
-        rec.disable();
-        let trace = if metered {
-            let returned = req.trace.then(|| trace.clone());
-            observe(&self.db, query, t0, &result, trace);
-            returned
-        } else {
-            Some(trace)
-        };
-        result.map(|a| Answered { trace, ..a })
+        if metered {
+            observe(&self.db, query, t0, &result, &trace);
+        }
+        result.map(|a| Answered { trace: req.trace.then_some(trace), ..a })
     }
 
     /// Runs the pipeline behind the panic shield, with a [`Governor`]
@@ -635,7 +590,7 @@ impl Engine {
     /// [`CoreError::Internal`].
     pub fn explain(&self, query: &str) -> Result<Explanation, CoreError> {
         shielded(|| {
-            let fe = self.front_end(&self.recorder(), query)?;
+            let fe = self.front_end(&Recorder::disabled(), query)?;
             let terms =
                 fe.query.terms.iter().zip(&fe.matches).map(|(t, ms)| term_report(t, ms)).collect();
             let patterns = fe
@@ -685,7 +640,7 @@ fn observe(
     query: &str,
     t0: Instant,
     result: &Result<Answered, CoreError>,
-    trace: PipelineTrace,
+    trace: &PipelineTrace,
 ) {
     let total_ns = t0.elapsed().as_nanos() as u64;
     let (rows, tripped) = match result {
@@ -710,9 +665,7 @@ fn observe(
         }
         fold.flush(aqks_obs::metrics::global());
     }
-    let flight = aqks_obs::flight::global();
-    flight.record(query, total_ns, tripped, trace);
-    FLIGHT_RETAINED.set(flight.retained() as i64);
+    aqks_obs::flight::global().record(query, total_ns, tripped, trace);
 }
 
 /// A registry counter: family name and optional `(key, value)` label.
@@ -1010,7 +963,6 @@ mod tests {
                     assert_eq!(t.roots[0].name, "answer", "{case}");
                     assert_eq!(t.span_count("guard"), usize::from(tripped), "{case}");
                 }
-                assert!(!engine.recorder().is_enabled(), "{case}: recorder left enabled");
             }
         }
     }
@@ -1051,14 +1003,12 @@ mod tests {
         assert!(trace.counters.contains_key("exec.rows_out"), "{:?}", trace.counters);
     }
 
-    /// Untraced calls leave nothing behind: the recorder stays disabled
-    /// and a later traced call sees only its own spans.
+    /// Untraced calls leave nothing behind: a later traced call sees
+    /// only its own spans.
     #[test]
     fn untraced_answer_records_nothing() {
         let engine = Engine::new(university::normalized()).unwrap();
         engine.answer("Green SUM Credit", 1).unwrap();
-        assert!(!engine.recorder().is_enabled());
-        assert!(engine.recorder().take().is_empty());
         let a = engine.run("Java SUM Price", &request(1, Budget::unlimited(), true)).unwrap();
         assert_eq!(a.trace.expect("trace requested").roots.len(), 1);
     }
@@ -1114,7 +1064,6 @@ mod tests {
         assert_eq!(a.trace.expect("trace requested").roots.len(), 1);
         assert!(snap().counter_total("aqks_engine_queries") > queries_before);
         assert!(flight.recorded() > recorded_before);
-        assert!(!engine.recorder().is_enabled());
     }
 
     #[test]

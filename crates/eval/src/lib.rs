@@ -20,10 +20,10 @@
 //! server and metrics-overhead timings are measured by the benchmark in
 //! `perfbench/`.
 //!
-//! The `repro` binary drives everything:
+//! The CLI's `repro` subcommand drives everything:
 //!
 //! ```text
-//! repro table5|table6|table8|table9|fig11|all [--paper-scale] [--reps N]
+//! aqks repro table5|table6|table8|table9|fig11|all [--paper-scale] [--reps N]
 //! ```
 //!
 //! `--paper-scale` switches from the fast test-sized datasets to

@@ -1,20 +1,21 @@
-//! Query flight recorder: a bounded ring buffer of the most recent
-//! [`PipelineTrace`]s, plus two *exemplars* that survive ring eviction
-//! — the slowest query seen and the most recent budget-tripped query.
+//! Query flight recorder: two *exemplars* out of every metered query —
+//! the slowest query seen and the most recent budget-tripped query —
+//! each kept with its full [`PipelineTrace`].
 //!
 //! The span recorder answers "trace this one call"; the flight
 //! recorder answers "what did that slow query half an hour ago do"
 //! without anyone having asked for a trace in advance. The engine
-//! feeds it from `Engine::answer*` whenever the metrics registry is
-//! enabled; readers snapshot entries (cheap `Arc` clones) without
-//! stopping recording.
+//! feeds it from `Engine::run` whenever the metrics registry is
+//! enabled; readers get the exemplars as cheap `Arc` clones.
 //!
-//! Memory is bounded by construction: at most `capacity` ring entries
-//! plus the two exemplar `Arc`s are retained, however many queries
-//! pass through.
+//! Whether a query becomes an exemplar is decided on the recording
+//! thread: a run that is neither slower than the slowest threshold (an
+//! atomic) nor tripped takes no lock and copies nothing, so its span
+//! tree is dropped by the thread that built it. Memory is bounded by
+//! construction: at most two entries are retained.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::trace::PipelineTrace;
 
@@ -33,129 +34,98 @@ pub struct FlightEntry {
     pub trace: PipelineTrace,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    seq: u64,
-    ring: VecDeque<Arc<FlightEntry>>,
+#[derive(Debug)]
+struct Exemplars {
     slowest: Option<Arc<FlightEntry>>,
     last_tripped: Option<Arc<FlightEntry>>,
 }
 
-/// A bounded ring of recent flights plus the slowest / last-tripped
-/// exemplars. One short mutex section per record or read; entries are
-/// shared out as `Arc`s so snapshots never copy traces.
+/// The slowest and last-tripped exemplars. Recording one takes one
+/// short mutex section; reads share entries out as `Arc`s.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    capacity: usize,
-    inner: Mutex<Inner>,
+    recorded: AtomicU64,
+    /// A run must take at least this many nanoseconds to become the
+    /// slowest exemplar: the current slowest time plus one (0 while
+    /// there is none), so ties keep the first. Only a filter: the
+    /// decision is re-checked under the lock, which also publishes the
+    /// entry, so relaxed accesses suffice.
+    slowest_floor: AtomicU64,
+    exemplars: Mutex<Exemplars>,
 }
-
-/// Ring capacity of the global recorder.
-pub const DEFAULT_CAPACITY: usize = 32;
 
 fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 impl FlightRecorder {
-    /// Builds a recorder retaining at most `capacity` recent flights
-    /// (plus the two exemplars).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder { capacity: capacity.max(1), inner: Mutex::new(Inner::default()) }
+    const fn new() -> FlightRecorder {
+        FlightRecorder {
+            recorded: AtomicU64::new(0),
+            slowest_floor: AtomicU64::new(0),
+            exemplars: Mutex::new(Exemplars { slowest: None, last_tripped: None }),
+        }
     }
 
-    /// Records one finished query. Updates the slowest exemplar when
-    /// `total_ns` sets a new record and the tripped exemplar when
-    /// `tripped` is set; evicts the oldest ring entry beyond capacity.
+    /// Records one finished query: counts it, and keeps a copy of it
+    /// as the slowest exemplar when `total_ns` sets a new record and as
+    /// the tripped exemplar when `tripped` is set.
     pub fn record(
         &self,
         query: &str,
         total_ns: u64,
         tripped: Option<String>,
-        trace: PipelineTrace,
+        trace: &PipelineTrace,
     ) {
-        let mut inner = relock(&self.inner);
-        inner.seq += 1;
+        let seq = self.recorded.fetch_add(1, Ordering::Relaxed) + 1;
+        let slower = total_ns >= self.slowest_floor.load(Ordering::Relaxed);
+        if !slower && tripped.is_none() {
+            return;
+        }
+        let mut ex = relock(&self.exemplars);
+        // Another thread may have set a slower record since the check.
+        let slowest = slower && ex.slowest.as_ref().is_none_or(|s| total_ns > s.total_ns);
+        if !slowest && tripped.is_none() {
+            return;
+        }
+        let is_tripped = tripped.is_some();
         let entry = Arc::new(FlightEntry {
-            seq: inner.seq,
+            seq,
             query: query.to_string(),
             total_ns,
             tripped,
-            trace,
+            trace: trace.clone(),
         });
-        if inner.slowest.as_ref().is_none_or(|s| entry.total_ns > s.total_ns) {
-            inner.slowest = Some(Arc::clone(&entry));
+        if slowest {
+            self.slowest_floor.store(total_ns.saturating_add(1), Ordering::Relaxed);
+            ex.slowest = Some(Arc::clone(&entry));
         }
-        if entry.tripped.is_some() {
-            inner.last_tripped = Some(Arc::clone(&entry));
-        }
-        inner.ring.push_back(entry);
-        while inner.ring.len() > self.capacity {
-            inner.ring.pop_front();
+        if is_tripped {
+            ex.last_tripped = Some(entry);
         }
     }
 
-    /// The most recent flights, oldest first (at most `capacity`).
-    pub fn recent(&self) -> Vec<Arc<FlightEntry>> {
-        relock(&self.inner).ring.iter().cloned().collect()
-    }
-
-    /// The slowest query ever recorded, even if long since evicted
-    /// from the ring.
+    /// The slowest query ever recorded.
     pub fn slowest(&self) -> Option<Arc<FlightEntry>> {
-        relock(&self.inner).slowest.clone()
+        relock(&self.exemplars).slowest.clone()
     }
 
-    /// The most recent budget-tripped query, even if evicted.
+    /// The most recent budget-tripped query.
     pub fn last_tripped(&self) -> Option<Arc<FlightEntry>> {
-        relock(&self.inner).last_tripped.clone()
-    }
-
-    /// Number of flights currently in the ring.
-    pub fn len(&self) -> usize {
-        relock(&self.inner).ring.len()
-    }
-
-    /// Whether no flight was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        let inner = relock(&self.inner);
-        inner.ring.is_empty() && inner.slowest.is_none() && inner.last_tripped.is_none()
+        relock(&self.exemplars).last_tripped.clone()
     }
 
     /// Total flights recorded over the recorder's lifetime.
     pub fn recorded(&self) -> u64 {
-        relock(&self.inner).seq
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of distinct entries currently retained (ring plus
-    /// exemplars not also in the ring) — the memory-ceiling figure.
-    pub fn retained(&self) -> usize {
-        let inner = relock(&self.inner);
-        let mut n = inner.ring.len();
-        for e in [&inner.slowest, &inner.last_tripped].into_iter().flatten() {
-            if !inner.ring.iter().any(|r| Arc::ptr_eq(r, e)) {
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Drops every retained flight and resets the sequence counter.
-    pub fn clear(&self) {
-        *relock(&self.inner) = Inner::default();
+        self.recorded.load(Ordering::Relaxed)
     }
 }
 
-static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
+static GLOBAL: FlightRecorder = FlightRecorder::new();
 
 /// The process-wide flight recorder the engine records into.
 pub fn global() -> &'static FlightRecorder {
-    GLOBAL.get_or_init(|| FlightRecorder::new(DEFAULT_CAPACITY))
+    &GLOBAL
 }
 
 #[cfg(test)]
@@ -171,11 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_survive_1000_query_mixed_workload_under_bounded_memory() {
-        let fr = FlightRecorder::new(16);
+    fn exemplars_survive_1000_query_mixed_workload() {
+        let fr = FlightRecorder::new();
         // 1000 mixed queries: latencies cycle, the global maximum is
-        // planted early (so its ring entry is long evicted), and every
-        // 97th query trips a budget guard.
+        // planted early, and every 97th query trips a budget guard.
         let mut expected_slowest = 0u64;
         let mut expected_last_tripped = 0u64;
         for i in 1..=1000u64 {
@@ -187,50 +156,71 @@ mod tests {
             if tripped.is_some() {
                 expected_last_tripped = i;
             }
-            fr.record(&format!("query {i}"), total_ns, tripped, trace_with_spans(3));
-            // Bounded memory ceiling: never more than capacity + 2
-            // entries retained, at any point in the stream.
-            assert!(fr.retained() <= fr.capacity() + 2, "retained {} at i={i}", fr.retained());
+            fr.record(&format!("query {i}"), total_ns, tripped, &trace_with_spans(3));
         }
         assert_eq!(fr.recorded(), 1000);
-        assert_eq!(fr.len(), 16);
         let slowest = fr.slowest().expect("slowest exemplar");
-        assert_eq!(slowest.seq, 137, "slowest exemplar evicted from ring must survive");
+        assert_eq!(slowest.seq, 137, "an early slowest exemplar survives later queries");
+        assert_eq!(slowest.query, "query 137");
         assert_eq!(slowest.total_ns, expected_slowest);
         assert!(!slowest.trace.is_empty());
         let tripped = fr.last_tripped().expect("tripped exemplar");
         assert_eq!(tripped.seq, expected_last_tripped);
         assert!(tripped.tripped.as_deref().unwrap_or("").contains("ops.Scan"));
-        // The ring holds exactly the most recent 16, oldest first.
-        let seqs: Vec<u64> = fr.recent().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (985..=1000).collect::<Vec<u64>>());
+    }
+
+    /// Four threads record concurrently: the slowest exemplar is the
+    /// global maximum whichever thread saw it, every query is counted,
+    /// and the tripped exemplar is one of the tripped queries.
+    #[test]
+    fn exemplars_hold_under_four_recording_threads() {
+        let fr = FlightRecorder::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (fr, start) = (&fr, &start);
+                s.spawn(move || {
+                    let trace = trace_with_spans(2);
+                    start.wait();
+                    for i in 0..250u64 {
+                        // Distinct across threads: t + 4 * (a permutation of 0..250).
+                        let total_ns = t + 4 * ((i * 101) % 250);
+                        let tripped = (i % 50 == 7).then(|| format!("tripped {t}/{i}"));
+                        fr.record(&format!("{t}/{i}"), total_ns, tripped, &trace);
+                    }
+                });
+            }
+        });
+        assert_eq!(fr.recorded(), 1000);
+        let slowest = fr.slowest().expect("slowest exemplar");
+        assert_eq!(slowest.total_ns, 3 + 4 * 249);
+        assert!(slowest.query.starts_with("3/"), "{}", slowest.query);
+        let tripped = fr.last_tripped().expect("tripped exemplar");
+        let (t, i) = tripped.query.split_once('/').expect("query names its thread");
+        assert!(i.parse::<u64>().is_ok_and(|i| i % 50 == 7), "{}", tripped.query);
+        assert_eq!(tripped.tripped.as_deref(), Some(format!("tripped {t}/{i}").as_str()));
     }
 
     #[test]
     fn empty_recorder_has_no_exemplars() {
-        let fr = FlightRecorder::new(4);
-        assert!(fr.is_empty());
-        assert_eq!(fr.len(), 0);
+        let fr = FlightRecorder::new();
+        assert_eq!(fr.recorded(), 0);
         assert!(fr.slowest().is_none());
         assert!(fr.last_tripped().is_none());
-        assert_eq!(fr.retained(), 0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let fr = FlightRecorder::new(4);
-        fr.record("q", 10, Some("tripped".into()), trace_with_spans(1));
-        assert!(!fr.is_empty());
-        fr.clear();
-        assert!(fr.is_empty());
-        assert_eq!(fr.recorded(), 0);
     }
 
     #[test]
     fn slowest_tie_keeps_the_first() {
-        let fr = FlightRecorder::new(4);
-        fr.record("first", 100, None, trace_with_spans(1));
-        fr.record("second", 100, None, trace_with_spans(1));
+        let fr = FlightRecorder::new();
+        fr.record("first", 100, None, &trace_with_spans(1));
+        fr.record("second", 100, None, &trace_with_spans(1));
         assert_eq!(fr.slowest().expect("slowest").seq, 1);
+    }
+
+    #[test]
+    fn a_zero_time_first_query_is_the_slowest() {
+        let fr = FlightRecorder::new();
+        fr.record("instant", 0, None, &trace_with_spans(1));
+        assert_eq!(fr.slowest().expect("slowest").query, "instant");
     }
 }

@@ -12,11 +12,11 @@
 //! Design constraints, in order:
 //!
 //! 1. **Disabled means free.** Every [`Recorder::span`] call first reads
-//!    one relaxed atomic; when recording is off it returns an inert guard
-//!    without allocating or touching any lock (verified by the
-//!    `overhead` integration test with a counting allocator). The
-//!    pipeline is therefore instrumented unconditionally and pays only
-//!    when a trace was asked for.
+//!    the flag the recorder was built with; when recording is off it
+//!    returns an inert guard without allocating or touching any lock
+//!    (verified by the `overhead` integration test with a counting
+//!    allocator). The pipeline is therefore instrumented unconditionally
+//!    and pays only when a trace or metrics were asked for.
 //! 2. **No plumbing through layers.** A started span is pushed onto a
 //!    thread-local *ambient stack*; nested [`Recorder::span`] calls and
 //!    the free function [`counter`] attach to the innermost active span
@@ -38,9 +38,9 @@
 //!   log-linear histograms (zero-alloc disabled path). Its per-query
 //!   families are a fold of each metered query's span tree, so the
 //!   registry and the trace cannot disagree;
-//! * [`flight`] — a bounded ring-buffer flight recorder keeping the N
-//!   most recent [`PipelineTrace`]s plus the slowest and last
-//!   budget-tripped exemplars;
+//! * [`flight`] — a flight recorder keeping two exemplar
+//!   [`PipelineTrace`]s, the slowest and the last budget-tripped query;
+//!   every other query's trace is dropped when its query ends;
 //! * [`expo`] — Prometheus text-format v0.0.4 and JSON exposition of a
 //!   metrics snapshot.
 

@@ -1,15 +1,14 @@
 //! The thread-safe span/counter recorder.
 //!
 //! A [`Recorder`] is a cheap clone (one `Arc`). Spans are recorded into
-//! a mutex-guarded buffer; the enabled flag is a separate relaxed atomic
-//! so the disabled fast path never takes the lock. Span nesting is
-//! tracked per thread on an ambient stack, so deeply-layered code (the
-//! engine calling the executor calling nothing observability-aware) does
-//! not need to pass recorder handles around.
+//! a mutex-guarded buffer; whether it records is fixed when it is built,
+//! so the disabled fast path reads one flag and never takes the lock.
+//! Span nesting is tracked per thread on an ambient stack, so
+//! deeply-layered code (the engine calling the executor calling nothing
+//! observability-aware) does not need to pass recorder handles around.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -28,7 +27,7 @@ pub(crate) struct RawSpan {
 }
 
 struct Inner {
-    enabled: AtomicBool,
+    enabled: bool,
     epoch: Instant,
     spans: Mutex<Vec<RawSpan>>,
 }
@@ -54,7 +53,7 @@ impl Recorder {
     fn with_enabled(enabled: bool) -> Recorder {
         Recorder {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(enabled),
+                enabled,
                 epoch: Instant::now(),
                 spans: Mutex::new(Vec::new()),
             }),
@@ -62,8 +61,7 @@ impl Recorder {
     }
 
     /// A recorder with recording off — every span is an inert guard
-    /// costing one atomic load. This is the default state instrumented
-    /// components embed.
+    /// costing one flag read.
     pub fn disabled() -> Recorder {
         Recorder::with_enabled(false)
     }
@@ -75,17 +73,7 @@ impl Recorder {
 
     /// True when spans and counters are being recorded.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on.
-    pub fn enable(&self) {
-        self.inner.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Turns recording off (already-open spans still complete).
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Relaxed);
+        self.inner.enabled
     }
 
     /// True when both handles point at the same underlying buffer.
@@ -100,7 +88,7 @@ impl Recorder {
     /// Opens a span. When recording is on, the span is parented under
     /// the innermost span *of this recorder* active on the current
     /// thread (the ambient stack) and is pushed onto that stack until
-    /// the guard drops. When recording is off this is one atomic load.
+    /// the guard drops. When recording is off this is one flag read.
     pub fn span(&self, name: impl Into<Cow<'static, str>>) -> Span {
         if !self.is_enabled() {
             return Span { live: None };

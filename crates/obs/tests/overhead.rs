@@ -66,8 +66,8 @@ fn disabled_spans_and_counters_do_not_allocate() {
     drop(probe);
     TRACKING.with(|t| t.set(false));
 
-    // And the same recorder records normally once enabled.
-    rec.enable();
+    // And an enabled recorder records normally.
+    let rec = Recorder::enabled();
     {
         let _s = rec.span("live");
     }

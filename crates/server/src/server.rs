@@ -381,45 +381,53 @@ enum FrameRead {
 /// A bounded, timeout-aware line reader. `BufRead::read_line` would
 /// buffer an attacker-length line; this reader refuses past the cap and
 /// then discards until the next newline, so one bad frame never kills
-/// the connection or the process.
+/// the connection or the process. The socket is read in chunks into
+/// `buf`, which keeps the bytes after a returned line (the next frames
+/// of a pipelining client, or a partial line across read ticks).
 struct FrameReader {
     stream: TcpStream,
+    /// Bytes read off the socket and not yet returned as a frame.
     buf: Vec<u8>,
+    /// `buf[..scanned]` holds no newline.
+    scanned: usize,
     max: usize,
     /// When set, the current line already overflowed and bytes are
     /// being discarded until the next newline.
     discarding: bool,
 }
 
+/// Bytes asked of the socket per `read` call.
+const READ_CHUNK: usize = 4096;
+
 impl FrameReader {
     fn new(stream: TcpStream, max: usize) -> FrameReader {
-        FrameReader { stream, buf: Vec::new(), max, discarding: false }
+        FrameReader { stream, buf: Vec::new(), scanned: 0, max, discarding: false }
     }
 
     fn read(&mut self) -> FrameRead {
-        let mut byte = [0u8; 1];
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match self.stream.read(&mut byte) {
+            if let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + i;
+                let frame = if self.discarding || end > self.max {
+                    FrameRead::TooLong
+                } else {
+                    FrameRead::Line(String::from_utf8_lossy(&self.buf[..end]).into_owned())
+                };
+                self.buf.drain(..=end);
+                self.scanned = 0;
+                self.discarding = false;
+                return frame;
+            }
+            self.scanned = self.buf.len();
+            if self.discarding || self.buf.len() > self.max {
+                self.discarding = true;
+                self.buf.clear();
+                self.scanned = 0;
+            }
+            match self.stream.read(&mut chunk) {
                 Ok(0) => return FrameRead::Closed,
-                Ok(_) => {
-                    if byte[0] == b'\n' {
-                        if self.discarding {
-                            self.discarding = false;
-                            self.buf.clear();
-                            return FrameRead::TooLong;
-                        }
-                        let line = String::from_utf8_lossy(&self.buf).into_owned();
-                        self.buf.clear();
-                        return FrameRead::Line(line);
-                    }
-                    if self.discarding {
-                        continue;
-                    }
-                    self.buf.push(byte[0]);
-                    if self.buf.len() > self.max {
-                        self.discarding = true;
-                    }
-                }
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>

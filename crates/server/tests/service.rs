@@ -116,6 +116,53 @@ fn malformed_frames_recover_without_dropping_the_connection() {
     server.shutdown();
 }
 
+/// The reader keeps what one socket read returns past a frame: two
+/// frames in one write are both answered, in order, a frame split by a
+/// pause longer than the read tick still parses, and an over-cap line
+/// that arrives whole in one read is refused without losing the frame
+/// after it.
+#[test]
+fn pipelined_split_and_overlong_frames_parse() {
+    let cfg = ServerConfig { max_line_bytes: 128, ..ServerConfig::default() };
+    let pause = cfg.read_timeout * 3;
+    let server = start(cfg);
+
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let send = |bytes: &[u8]| {
+        let mut s = &stream;
+        s.write_all(bytes).expect("write");
+    };
+    let mut recv = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        line.trim_end().to_string()
+    };
+
+    send(b"PING\nQ |Green SUM Credit\n");
+    assert_eq!(recv(), "PONG");
+    let reply = recv();
+    assert!(reply.starts_with("OK n=1"), "{reply}");
+    while recv() != "." {}
+
+    send(b"Q |Green SU");
+    std::thread::sleep(pause);
+    send(b"M Credit\n");
+    let reply = recv();
+    assert!(reply.starts_with("OK n=1"), "{reply}");
+    while recv() != "." {}
+
+    send(format!("Q |{}\nPING\n", "x".repeat(200)).as_bytes());
+    let reply = recv();
+    assert!(reply.starts_with("ERR code=protocol"), "{reply}");
+    assert_eq!(recv(), "PONG");
+
+    send(b"QUIT\n");
+    assert_eq!(recv(), "BYE");
+    server.shutdown();
+}
+
 #[test]
 fn starvation_deadline_degrades_to_partial_answer() {
     let server = start(ServerConfig::default());

@@ -1,6 +1,6 @@
 //! The TPC-H workload of Table 3 (T1–T8) on the synthetic generator,
 //! side by side: semantic engine vs SQAK. This is a human-readable
-//! version of the `repro table5` output, showing the SQL both engines
+//! version of the `aqks repro table5` output, showing the SQL both engines
 //! emit, not just the answers.
 //!
 //! ```text

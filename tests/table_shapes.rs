@@ -2,7 +2,7 @@
 //! wins, how SQAK's errors manifest, where N.A. appears. Absolute values
 //! come from our synthetic generators (the real ACMDL dump is
 //! proprietary), but every qualitative claim of Tables 5/6/8/9 is
-//! checked mechanically here at the small scale; `repro --paper-scale`
+//! checked mechanically here at the small scale; `aqks repro --paper-scale`
 //! regenerates the full-cardinality versions.
 
 use aqks_eval::{
