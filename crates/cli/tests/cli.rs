@@ -123,6 +123,23 @@ fn explain_analyze_shows_shared_subtrees() {
     assert!(stdout.contains("[shared"), "{stdout}");
 }
 
+/// `explain --analyze` with no query answers T1–T8 on one engine, so
+/// T8's view relation `pname contains 'pink rose'` filters the
+/// projection an earlier query memoized instead of scanning `Ordering`.
+#[test]
+fn explain_analyze_replays_a_filtered_view_relation_from_the_memo() {
+    let out = aqks().args(["explain", "--analyze", "--dataset", "tpch-prime"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let t8 = stdout.split("── explain").last().expect("T8 is explained last");
+    assert!(t8.contains("\"pink rose\" \"white rose\""), "{t8}");
+    let scan = t8
+        .lines()
+        .find(|l| l.contains("Scan Ordering") && l.contains("contains 'pink rose'"))
+        .unwrap_or_else(|| panic!("no pink rose scan: {t8}"));
+    assert!(scan.ends_with("[memo]"), "{scan}");
+}
+
 #[test]
 fn metrics_prints_prometheus_exposition() {
     let out =

@@ -20,10 +20,15 @@
 //! it to end-of-stream and succeeds stores the batches `Distinct`
 //! emitted, and later runs replay them through `CachedRows`, reporting
 //! the per-operator rows and batches recorded when it was computed
-//! (`explain --analyze` notes the subtree `[memo]`). The same
-//! capture/replay runs a subtree that several plans of one request
-//! compute alike once per request ([`Shares`], [`run_plan_sharing`];
-//! the replayed root is noted `[shared]`).
+//! (`explain --analyze` notes the subtree `[memo]`). A view relation
+//! whose scan carries pushed predicates (Rule 2's `contains`) is the
+//! same memo site when the predicates read only projected columns:
+//! σ_p(δπ_X R) = δπ_X(σ_p R), so a hit replays the projection filtered
+//! by p, and an ungoverned miss computes the predicate-free projection
+//! and filters its stream when the memo has room for it (see
+//! `memo_site`). The same capture/replay runs a subtree that several
+//! plans of one request compute alike once per request ([`Shares`],
+//! [`run_plan_sharing`]; the replayed root is noted `[shared]`).
 //!
 //! Distinct, the hash join and the aggregate key one kind of hash table,
 //! `KeyTable`: `key_hash` hashes a row's key straight from the typed
@@ -57,7 +62,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use aqks_relational::{contains_ci, Database, Row, Value};
+use aqks_relational::{contains_ci, AttrType, Database, Row, Value};
 
 use crate::ast::AggFunc;
 use crate::batch::{Column, ColumnBatch, ColumnData};
@@ -307,6 +312,9 @@ struct CachedRows {
     pos: usize,
     /// A replay of a recorded [`MemoEntry`].
     replay: Option<Replay>,
+    /// A filtered memo site's pushed predicates over the replayed
+    /// columns: only the rows that pass them are emitted.
+    filter: Vec<PhysPred>,
 }
 
 /// How a [`MemoEntry`] replay reports the nodes below the replayed one.
@@ -335,7 +343,7 @@ impl Replay {
 impl CachedRows {
     fn new(batches: Arc<Vec<ColumnBatch>>) -> CachedRows {
         let rows = batches.iter().map(|b| b.len() as u64).sum();
-        CachedRows { batches, rows, pos: 0, replay: None }
+        CachedRows { batches, rows, pos: 0, replay: None, filter: Vec::new() }
     }
 
     fn replaying(entry: Arc<MemoEntry>, node: &PlanNode, cx: &BuildCx<'_>, shared: bool) -> Self {
@@ -363,17 +371,21 @@ impl Operator for CachedRows {
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
+        while self.pos < self.batches.len() {
+            self.pos += 1;
+            if let Some(r) = &self.replay {
+                // The nodes below report what they had emitted when the
+                // computed subtree returned the same call's result.
+                r.report(self.pos);
+            }
+            if let Some(batch) = select(self.batches[self.pos - 1].clone(), &self.filter) {
+                return Ok(Some(batch));
+            }
+        }
         if let Some(r) = &self.replay {
-            // The nodes below report what they had emitted when the
-            // computed subtree returned the same call's result.
-            r.report(self.pos.min(self.batches.len()) + 1);
+            r.report(self.batches.len() + 1);
         }
-        if self.pos >= self.batches.len() {
-            return Ok(None);
-        }
-        let batch = self.batches[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(batch))
+        Ok(None)
     }
 
     fn close(&mut self) {}
@@ -399,18 +411,28 @@ impl Operator for CachedRows {
     }
 }
 
-/// A predicate-free `Distinct(Project(Scan R))` — a relation of the
-/// normalized view D′, or any `SELECT DISTINCT <cols> FROM R` — whose
-/// result depends only on the database, which therefore memoizes it
-/// under `(R, cols)`.
+/// A `Distinct(Project(Scan R))` — a relation of the normalized view
+/// D′, or any `SELECT DISTINCT <cols> FROM R [WHERE p]` — whose
+/// predicate-free result depends only on the database, which therefore
+/// memoizes it under `(R, cols)`.
 #[derive(Clone, Copy)]
 struct MemoSite<'a> {
     relation: &'a str,
     cols: &'a [usize],
 }
 
-/// The memo site `node` heads, unless `shared` replays any node of it.
-fn memo_site<'a>(node: &'a PlanNode, shared: &SharedRows) -> Option<MemoSite<'a>> {
+/// The memo site `node` heads, with the scan's pushed predicates moved
+/// onto the projected columns, unless `shared` replays any node of it.
+///
+/// A selection that reads only projected columns commutes with
+/// duplicate-eliminating projection, σ_p(δπ_X R) = δπ_X(σ_p R), when p
+/// agrees on rows the projection keeps as one. `EqLit` and `EqCols`
+/// compare under `Value` equality, so they do. `ContainsCi` renders a
+/// non-string value to test it, and equal numbers can render apart
+/// (`2` and `2.0`, `0` and `-0`), so it qualifies only on a text column.
+/// A predicate on a column outside X, or a `contains` on any other
+/// column, leaves the scan as it is.
+fn memo_site<'a>(node: &'a PlanNode, cx: &BuildCx<'_>) -> Option<(MemoSite<'a>, Vec<PhysPred>)> {
     let (PlanOp::Distinct, [project]) = (&node.op, node.children.as_slice()) else {
         return None;
     };
@@ -420,9 +442,33 @@ fn memo_site<'a>(node: &'a PlanNode, shared: &SharedRows) -> Option<MemoSite<'a>
     let PlanOp::Scan { relation, pushed, .. } = &scan.op else {
         return None;
     };
-    let ids = [node.id, project.id, scan.id];
-    (pushed.is_empty() && !ids.iter().any(|id| shared.contains_key(id)))
-        .then_some(MemoSite { relation, cols })
+    if [node.id, project.id, scan.id].iter().any(|id| cx.shared.contains_key(id)) {
+        return None;
+    }
+    let at = |c: &usize| cols.iter().position(|x| x == c);
+    let text = |c: &usize| {
+        let attrs = &cx.db.table(relation)?.schema.attrs;
+        (attrs.get(*c)?.ty == AttrType::Text).then_some(())
+    };
+    let filter = pushed
+        .iter()
+        .map(|p| match p {
+            PhysPred::EqCols(l, r) => Some(PhysPred::EqCols(at(l)?, at(r)?)),
+            PhysPred::EqLit(c, v) => Some(PhysPred::EqLit(at(c)?, v.clone())),
+            PhysPred::ContainsCi(c, needle) => {
+                text(c)?;
+                Some(PhysPred::ContainsCi(at(c)?, needle.clone()))
+            }
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((MemoSite { relation, cols }, filter))
+}
+
+/// Whether the memo has room for the predicate-free projection of
+/// `site`: |R| × |cols| cells bound its size.
+fn has_room(site: MemoSite<'_>, db: &Database) -> bool {
+    let rows = db.table(site.relation).map_or(0, |t| t.len());
+    db.memo_cells() + (rows * site.cols.len()) as u64 <= db.total_cells()
 }
 
 /// Plan ids of `node`, then of the nodes below it in pre-order.
@@ -489,10 +535,13 @@ impl MemoCapture<'_> {
     }
 }
 
-/// The shim over a subtree root that records a [`MemoCapture`].
+/// The shim over a subtree root that records a [`MemoCapture`], and
+/// emits only the rows that pass `filter`: the pushed predicates of a
+/// filtered memo site whose predicate-free projection it records.
 struct Capturing<'a> {
     inner: Box<dyn Operator + 'a>,
     capture: Option<MemoCapture<'a>>,
+    filter: Vec<PhysPred>,
 }
 
 impl Operator for Capturing<'_> {
@@ -505,15 +554,20 @@ impl Operator for Capturing<'_> {
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
-        let r = self.inner.next()?;
-        if let Some(capture) = &mut self.capture {
-            capture.record();
-            match &r {
-                Some(batch) => capture.emitted.push(batch.clone()),
-                None => self.capture.take().map_or((), MemoCapture::finish),
+        loop {
+            let r = self.inner.next()?;
+            if let Some(capture) = &mut self.capture {
+                capture.record();
+                match &r {
+                    Some(batch) => capture.emitted.push(batch.clone()),
+                    None => self.capture.take().map_or((), MemoCapture::finish),
+                }
+            }
+            let Some(batch) = r else { return Ok(None) };
+            if let Some(batch) = select(batch, &self.filter) {
+                return Ok(Some(batch));
             }
         }
-        Ok(r)
     }
 
     fn close(&mut self) {
@@ -599,6 +653,19 @@ fn filter_indices(batch: &ColumnBatch, preds: &[PhysPred]) -> Vec<u32> {
         filter_pred(batch, p, &mut idx);
     }
     idx
+}
+
+/// The rows of `batch` that pass every predicate of a non-empty `preds`,
+/// or `None` when none do; `batch` as it is when `preds` is empty.
+fn select(batch: ColumnBatch, preds: &[PhysPred]) -> Option<ColumnBatch> {
+    if preds.is_empty() {
+        return Some(batch);
+    }
+    match filter_indices(&batch, preds) {
+        keep if keep.is_empty() => None,
+        keep if keep.len() == batch.len() => Some(batch),
+        keep => Some(batch.gather(&keep)),
+    }
 }
 
 fn filter_pred(batch: &ColumnBatch, pred: &PhysPred, idx: &mut Vec<u32>) {
@@ -792,12 +859,8 @@ impl Operator for Filter<'_> {
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
         while let Some(batch) = self.child.next()? {
-            let keep = filter_indices(&batch, self.preds);
-            if keep.len() == batch.len() && !keep.is_empty() {
+            if let Some(batch) = select(batch, self.preds) {
                 return Ok(Some(batch));
-            }
-            if !keep.is_empty() {
-                return Ok(Some(batch.gather(&keep)));
             }
         }
         Ok(None)
@@ -1867,6 +1930,7 @@ const _: () = {
 };
 
 /// What every node of one plan run is built with.
+#[derive(Clone)]
 struct BuildCx<'a> {
     db: &'a Database,
     stats: StatsCell,
@@ -1878,9 +1942,14 @@ struct BuildCx<'a> {
     shares: Option<(&'a Shares, &'a HashMap<usize, usize>)>,
     opts: ExecOptions,
     captured: Captured<'a>,
+    /// Scans drop their pushed predicates: set while building the
+    /// predicate-free projection of a filtered memo site that missed.
+    bare: bool,
 }
 
 fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecError> {
+    let unfiltered;
+    let (mut cx, mut filter) = (cx, Vec::new());
     if let Some(batches) = cx.shared.get(&node.id) {
         return Ok(replay(node, CachedRows::new(Arc::clone(batches)), cx));
     }
@@ -1892,14 +1961,28 @@ fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecEr
         }
         aqks_obs::counter("exec.share_misses", 1);
         Some(Keep::Share(k))
-    } else if let Some(site) = memo_site(node, cx.shared) {
+    } else if let Some((site, pushed)) = memo_site(node, cx) {
         let hit = cx.db.memoized_projection(site.relation, site.cols);
         if let Some(entry) = hit.and_then(|v| v.downcast::<MemoEntry>().ok()) {
             aqks_obs::counter("exec.memo_hits", 1);
-            return Ok(replay(node, CachedRows::replaying(entry, node, cx, false), cx));
+            let mut cached = CachedRows::replaying(entry, node, cx, false);
+            cached.filter = pushed;
+            return Ok(replay(node, cached, cx));
         }
         aqks_obs::counter("exec.memo_misses", 1);
-        Some(Keep::Memo(site))
+        if pushed.is_empty() {
+            Some(Keep::Memo(site))
+        } else if !cx.governed && has_room(site, cx.db) {
+            // Compute and keep the predicate-free projection, and emit
+            // the rows of it that pass the pushed predicates. A governed
+            // run scans as pushed: it is charged, and timed, for the
+            // rows that pass, not for the whole relation.
+            unfiltered = BuildCx { bare: true, shares: None, ..cx.clone() };
+            (cx, filter) = (&unfiltered, pushed);
+            Some(Keep::Memo(site))
+        } else {
+            None
+        }
     } else {
         None
     };
@@ -1983,6 +2066,7 @@ fn build<'a>(node: &'a PlanNode, cx: &BuildCx<'a>) -> Result<Metered<'a>, ExecEr
                 emitted: Vec::new(),
                 captured: Arc::clone(&cx.captured),
             }),
+            filter,
         }),
         None => inner,
     };
@@ -2007,8 +2091,9 @@ fn metered<'a>(node: &PlanNode, inner: Box<dyn Operator + 'a>, cx: &BuildCx<'a>)
     Metered { id: node.id, stats: cx.stats.clone(), inner }
 }
 
-/// The scan of `relation`, building output columns `cols` (every column
-/// of the relation when `None`).
+/// The scan of `relation` through its `pushed` predicates (none when
+/// `cx.bare`), building output columns `cols` (every column of the
+/// relation when `None`).
 fn scan<'a>(
     relation: &str,
     pushed: &'a [PhysPred],
@@ -2019,7 +2104,7 @@ fn scan<'a>(
     let width = table.schema.attrs.len();
     Ok(Box::new(Scan {
         rows: table.rows(),
-        preds: pushed,
+        preds: if cx.bare { &[] } else { pushed },
         cols: cols.map_or_else(|| (0..width).collect(), <[usize]>::to_vec),
         threads: cx.opts.threads,
         width,
@@ -2122,6 +2207,7 @@ fn run<'a>(
         shares,
         opts,
         captured: Captured::default(),
+        bare: false,
     };
     let mut root = build(plan, &cx)?;
     root.open()?;
@@ -3215,6 +3301,154 @@ mod tests {
             assert!(notes.iter().all(|n| n.as_deref() != Some("memo")), "over the cap");
         }
         assert_eq!(db.memo_cells(), db.total_cells());
+    }
+
+    /// `stmt` with WHERE clause `preds`.
+    fn filtered(mut stmt: SelectStatement, preds: Vec<Predicate>) -> SelectStatement {
+        stmt.predicates = preds;
+        stmt
+    }
+
+    /// Output batches (as rows, in emission order), per-operator rows
+    /// and notes of one run, planned with or without pushdown.
+    fn batch_run(
+        stmt: &SelectStatement,
+        db: &Database,
+        threads: usize,
+        pushdown: bool,
+    ) -> (Vec<Vec<Row>>, OpRows, Vec<Option<String>>) {
+        let p = crate::plan::plan_with_options(stmt, db, &crate::plan::PlanOptions { pushdown })
+            .unwrap();
+        let (batches, stats) =
+            materialize_batches(&p, db, &SharedRows::new(), ExecOptions::with_threads(threads))
+                .unwrap();
+        let rows = stats.ops.iter().map(|m| (m.rows_in, m.rows_out, m.batches)).collect();
+        let notes = stats.ops.into_iter().map(|m| m.note).collect();
+        (batches.iter().map(ColumnBatch::to_rows).collect(), rows, notes)
+    }
+
+    fn memo_notes(notes: &[Option<String>]) -> usize {
+        notes.iter().filter(|n| n.as_deref() == Some("memo")).count()
+    }
+
+    /// A `SELECT DISTINCT` whose pushed `contains` on text, `EqLit` or
+    /// `EqCols` reads only projected columns computes and memoizes the
+    /// predicate-free projection on its first run and filters the
+    /// memoized replay from then on. Cold and warm runs emit the
+    /// batches, in order, that the statement planned without pushdown
+    /// emits (its residual `Filter` is no memo site), at 1 and 4
+    /// threads, and report the same per-operator rows.
+    #[test]
+    fn filtered_replays_emit_what_the_pushed_scan_emits() {
+        let cases = [
+            (&["K2", "V"][..], Predicate::Contains(col("T", "K2"), "1".into()), 1100 * 2),
+            (&["K2", "V"], Predicate::Eq(col("T", "V"), Value::Int(1099)), 1100 * 2),
+            (&["V", "K2"], Predicate::Eq(col("T", "K2"), Value::str("k0")), 1100 * 2),
+            (&["K1", "V"], Predicate::JoinEq(col("T", "K1"), col("T", "V")), 3000 * 2),
+        ];
+        for (cols, pred, cells) in cases {
+            let stmt = filtered(distinct_stmt(cols), vec![pred.clone()]);
+            let reference = batch_run(&stmt, &memo_db(), 1, false).0;
+            assert!(!reference.is_empty(), "{pred:?} keeps rows");
+            for threads in [1, 4] {
+                let db = memo_db();
+                let cold = batch_run(&stmt, &db, threads, true);
+                assert_eq!(db.memo_cells(), cells, "{pred:?} memoized the projection");
+                assert_eq!(cold.0, reference, "{pred:?} cold, threads={threads}");
+                assert_eq!(memo_notes(&cold.2), 0);
+                let warm = batch_run(&stmt, &db, threads, true);
+                assert_eq!(warm.0, reference, "{pred:?} warm, threads={threads}");
+                assert_eq!(warm.1, cold.1, "{pred:?} per-operator rows, threads={threads}");
+                assert_eq!(memo_notes(&warm.2), 3);
+            }
+        }
+    }
+
+    /// `contains` renders a float to test it, and `0.0` and `-0.0` are
+    /// one value to `DISTINCT` but render apart: a `contains` on a float
+    /// column is no memo site, and answers as the unpushed plan does.
+    #[test]
+    fn a_contains_on_a_float_column_is_no_memo_site() {
+        let rows = [0.0, -0.0, 2.0]
+            .into_iter()
+            .map(|x| row(Value::Float(x), Value::str("k"), Value::Null, 0))
+            .collect();
+        let db = keyed_db(&[("T", rows)]);
+        let stmt =
+            filtered(distinct_stmt(&["K1"]), vec![Predicate::Contains(col("T", "K1"), "-".into())]);
+        let shown = |batches: Vec<Vec<Row>>| -> Vec<String> {
+            batches.iter().flatten().map(|r| r[0].to_string()).collect()
+        };
+        let unpushed = shown(batch_run(&stmt, &db, 1, false).0);
+        assert_eq!(unpushed, ["-0.0"]);
+        for _ in 0..2 {
+            let (batches, _, notes) = batch_run(&stmt, &db, 1, true);
+            assert_eq!(shown(batches), unpushed);
+            assert_eq!(memo_notes(&notes), 0);
+        }
+        assert_eq!(db.memo_cells(), 0);
+    }
+
+    /// A pushed predicate on a column the projection drops leaves the
+    /// scan as it is.
+    #[test]
+    fn a_predicate_outside_the_projection_is_no_memo_site() {
+        let db = memo_db();
+        let stmt =
+            filtered(distinct_stmt(&["K2"]), vec![Predicate::Eq(col("T", "V"), Value::Int(7))]);
+        for _ in 0..2 {
+            let (batches, _, notes) = batch_run(&stmt, &db, 1, true);
+            assert_eq!(batches, [[vec![Value::str("k1")]]]);
+            assert_eq!(memo_notes(&notes), 0);
+        }
+        assert_eq!(db.memo_cells(), 0);
+    }
+
+    /// A filtered site whose projection the memo has no room for runs
+    /// its pushed scan and memoizes nothing.
+    #[test]
+    fn a_filtered_site_without_memo_room_runs_its_pushed_scan() {
+        let db = memo_db();
+        batch_run(&distinct_stmt(&["K1", "K2", "D", "V"]), &db, 1, true);
+        assert_eq!(db.memo_cells(), db.total_cells(), "the memo is full");
+        let pred = Predicate::Eq(col("T", "V"), Value::Int(1099));
+        let stmt = filtered(distinct_stmt(&["K2", "V"]), vec![pred]);
+        let (batches, rows, notes) = batch_run(&stmt, &db, 1, true);
+        assert_eq!(batches, batch_run(&stmt, &memo_db(), 1, false).0);
+        assert_eq!(memo_notes(&notes), 0);
+        assert!(notes.contains(&Some("cols=2/4".into())), "the narrow pushed scan ran");
+        assert!(rows.iter().all(|&(_, out, _)| out <= 2), "the scan kept 2 of 3000 rows");
+        assert_eq!(db.memo_cells(), db.total_cells());
+    }
+
+    /// A governed miss at a filtered site runs its pushed scan: a row
+    /// cap far below |R| answers, charged only for the rows that pass,
+    /// and memoizes nothing. A later ungoverned run fills the memo, and
+    /// a governed hit replays it at the same cap.
+    #[test]
+    fn a_governed_filtered_miss_runs_its_pushed_scan() {
+        let db = memo_db();
+        let pred = Predicate::Eq(col("T", "V"), Value::Int(1099));
+        let stmt = filtered(distinct_stmt(&["K2", "V"]), vec![pred]);
+        let reference = batch_run(&stmt, &memo_db(), 1, false).0;
+        let governed = |db: &Database| {
+            let gov = aqks_guard::Governor::new(&aqks_guard::Budget::unlimited().with_max_rows(20));
+            let _g = aqks_guard::install(&gov);
+            let (batches, rows, notes) = batch_run(&stmt, db, 1, true);
+            let emitted: u64 = rows.iter().map(|&(_, out, _)| out).sum();
+            (batches, notes, emitted, gov.rows_used())
+        };
+        let (batches, notes, emitted, charged) = governed(&db);
+        assert_eq!(batches, reference);
+        assert_eq!(memo_notes(&notes), 0);
+        assert!(emitted <= 6 && charged == emitted, "emitted {emitted}, charged {charged}");
+        assert_eq!(db.memo_cells(), 0);
+        batch_run(&stmt, &db, 1, true);
+        assert_eq!(db.memo_cells(), 1100 * 2);
+        let (batches, notes, _, charged) = governed(&db);
+        assert_eq!(batches, reference);
+        assert_eq!(memo_notes(&notes), 3);
+        assert!(charged <= 2, "a replay is charged the rows it emits: {charged}");
     }
 
     // -----------------------------------------------------------------
